@@ -118,7 +118,7 @@ pub enum Command {
         /// Endpoint to listen on (`tcp:host:port`, `unix:path`, or bare
         /// `host:port`).
         listen: String,
-        /// Shard count: engines and worker threads.
+        /// Shard count: private engines, ticked in parallel.
         shards: usize,
         /// Fleet fault spec armed on every shard, if any.
         faults: Option<String>,
@@ -520,14 +520,15 @@ USAGE:
                                 EP is tcp:host:port, unix:path, or bare
                                 host:port (tcp:host:0 binds an ephemeral
                                 port, announced on stdout); --shards K
-                                pins K engines to K worker threads
-                                (node → shard via splitmix64); --faults
-                                arms the fleet chaos plan on every shard
-                                (degraded mode on); --rack-budget W
-                                splits a whole-rack watt budget evenly
-                                across shards; --once exits after the
-                                first client disconnects; a client's
-                                shutdown frame always stops the server
+                                splits nodes across K engines ticked in
+                                parallel (node → shard via splitmix64);
+                                --faults arms the fleet chaos plan on
+                                every shard (degraded mode on);
+                                --rack-budget W splits a whole-rack watt
+                                budget evenly across shards; --once exits
+                                after the first client disconnects; a
+                                client's shutdown frame always stops the
+                                server
   gpm loadgen --connect EP [--nodes N] [--ticks T] [--json] [--shutdown]
                                 drive a serve endpoint with the synthetic
                                 phase-repeating fleet (default 1000 nodes,

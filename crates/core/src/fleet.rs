@@ -67,7 +67,8 @@ use std::time::Instant;
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, Result, Watts,
+    fnv1a, splitmix64, CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, Result,
+    Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
@@ -373,7 +374,7 @@ struct RackState {
 /// one-lookup-per-report hot path of the armed engine.
 ///
 /// The same finalizer round is the fleet *shard* function (see
-/// [`node_shard`]): the service layer routes node ids to shard-pinned
+/// [`node_shard`]): the service layer routes node ids to per-shard
 /// engines with exactly this mixing, so node placement is a pure,
 /// documented function of the id alone.
 #[derive(Debug, Clone, Copy, Default)]
@@ -391,16 +392,13 @@ impl std::hash::Hasher for NodeIdHasher {
     }
 
     fn write_u64(&mut self, x: u64) {
-        let mut z = (self.0 ^ x).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
+        self.0 = splitmix64(self.0 ^ x);
     }
 }
 
 type NodeMap = HashMap<u64, NodeState, std::hash::BuildHasherDefault<NodeIdHasher>>;
 
-/// The fleet shard function: which of `shards` shard-pinned engines owns
+/// The fleet shard function: which of the service's `shards` engines owns
 /// `node`. One splitmix64 finalizer round (the [`NodeIdHasher`] mixing)
 /// reduced modulo the shard count — a pure function of the node id, so a
 /// node's shard assignment is stable across runs, transports and pool
@@ -622,6 +620,16 @@ impl FleetEngine {
     #[must_use]
     pub fn queued(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Drops every queued report without deciding it, counting each in
+    /// `dropped_dark` (the submitter's channel is gone, the same class as a
+    /// flap outage). A service calls this when a client disconnects
+    /// mid-tick, so its reports are never decided on another client's
+    /// tick.
+    pub fn discard_queued(&mut self) {
+        self.stats.dropped_dark += self.queue.len() as u64;
+        self.queue.clear();
     }
 
     /// The earliest tick `node` is advised to retry at after backpressure
@@ -1302,58 +1310,50 @@ fn scale_ratio(new: &ModeCombination, old: &ModeCombination) -> f64 {
 /// FNV-1a over the decision-relevant configuration, used to refuse
 /// restoring a checkpoint under a different configuration.
 fn config_fingerprint(config: &FleetConfig) -> u64 {
-    fn eat_byte(hash: &mut u64, byte: u8) {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
+    fn eat(bytes: &mut Vec<u8>, word: u64) {
+        bytes.extend_from_slice(&word.to_le_bytes());
     }
-    fn eat(hash: &mut u64, word: u64) {
-        for byte in word.to_le_bytes() {
-            eat_byte(hash, byte);
-        }
-    }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut hash, config.cache.capacity as u64);
-    eat(&mut hash, config.cache.watt_quantum.to_bits());
-    eat(&mut hash, config.cache.bips_quantum.to_bits());
-    eat(&mut hash, config.cache.budget_quantum.to_bits());
-    eat(&mut hash, u64::from(config.cache.verify_hits));
-    eat(&mut hash, config.queue_capacity as u64);
-    eat(&mut hash, config.stale_tolerance as u64);
-    eat(&mut hash, config.dark_after as u64);
-    eat(&mut hash, config.flat_core_limit as u64);
-    eat(&mut hash, config.cluster_cores as u64);
-    eat(&mut hash, config.dvfs.nominal_vdd.value().to_bits());
-    eat(&mut hash, config.dvfs.nominal_frequency.value().to_bits());
-    eat(&mut hash, config.dvfs.slew_rate_v_per_us.to_bits());
-    eat(&mut hash, config.explore.value().to_bits());
+    let mut bytes = Vec::new();
+    eat(&mut bytes, config.cache.capacity as u64);
+    eat(&mut bytes, config.cache.watt_quantum.to_bits());
+    eat(&mut bytes, config.cache.bips_quantum.to_bits());
+    eat(&mut bytes, config.cache.budget_quantum.to_bits());
+    eat(&mut bytes, u64::from(config.cache.verify_hits));
+    eat(&mut bytes, config.queue_capacity as u64);
+    eat(&mut bytes, config.stale_tolerance as u64);
+    eat(&mut bytes, config.dark_after as u64);
+    eat(&mut bytes, config.flat_core_limit as u64);
+    eat(&mut bytes, config.cluster_cores as u64);
+    eat(&mut bytes, config.dvfs.nominal_vdd.value().to_bits());
+    eat(&mut bytes, config.dvfs.nominal_frequency.value().to_bits());
+    eat(&mut bytes, config.dvfs.slew_rate_v_per_us.to_bits());
+    eat(&mut bytes, config.explore.value().to_bits());
     match &config.faults {
         Some(plan) => {
             let json = serde_json::to_string(plan).expect("fault plans serialize");
-            eat(&mut hash, json.len() as u64);
-            for &byte in json.as_bytes() {
-                eat_byte(&mut hash, byte);
-            }
+            eat(&mut bytes, json.len() as u64);
+            bytes.extend_from_slice(json.as_bytes());
         }
-        None => eat(&mut hash, u64::MAX),
+        None => eat(&mut bytes, u64::MAX),
     }
     match &config.degraded {
         Some(d) => {
-            eat(&mut hash, d.clamp_steps as u64);
-            eat(&mut hash, d.retry_base);
-            eat(&mut hash, u64::from(d.retry_max_exp));
+            eat(&mut bytes, d.clamp_steps as u64);
+            eat(&mut bytes, d.retry_base);
+            eat(&mut bytes, u64::from(d.retry_max_exp));
         }
-        None => eat(&mut hash, u64::MAX - 1),
+        None => eat(&mut bytes, u64::MAX - 1),
     }
     match &config.rack {
         Some(r) => {
-            eat(&mut hash, r.budget.value().to_bits());
-            eat(&mut hash, r.watchdog_k as u64);
-            eat(&mut hash, r.clamp_hold);
-            eat(&mut hash, r.max_backoff);
+            eat(&mut bytes, r.budget.value().to_bits());
+            eat(&mut bytes, r.watchdog_k as u64);
+            eat(&mut bytes, r.clamp_hold);
+            eat(&mut bytes, r.max_backoff);
         }
-        None => eat(&mut hash, u64::MAX - 2),
+        None => eat(&mut bytes, u64::MAX - 2),
     }
-    hash
+    fnv1a(&bytes)
 }
 
 /// The fleet's solver dispatch: flat exact branch-and-bound up to the
@@ -1596,6 +1596,17 @@ mod tests {
         );
         assert_eq!(engine.retry_at(7), None);
         assert_eq!(engine.stats().rejected_backpressure, 3);
+    }
+
+    #[test]
+    fn discarded_reports_are_counted_dark_and_never_decided() {
+        let mut engine = FleetEngine::new(FleetConfig::default()).expect("valid config");
+        assert!(engine.submit(telemetry(0, 0, 2, 0)));
+        assert!(engine.submit(telemetry(1, 0, 2, 0)));
+        engine.discard_queued();
+        assert_eq!(engine.queued(), 0);
+        assert_eq!(engine.stats().dropped_dark, 2);
+        assert!(engine.run_tick(0).is_empty());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! session from the plan alone and observes the exact same fault
 //! schedule.
 
-use gpm_types::{GpmError, Result};
+use gpm_types::{splitmix64, GpmError, Result};
 use serde::{Deserialize, Serialize};
 
+use crate::clause::{parse_clauses, parse_num};
 use crate::plan::IntervalWindow;
 
 /// Default seed for fleet fault draws (distinct from the chip-plan seed
@@ -205,41 +206,18 @@ impl FleetFaultPlan {
     pub fn parse(spec: &str) -> Result<Self> {
         let bad = |msg: String| GpmError::FaultSpec(msg);
         let mut clauses = Vec::new();
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (head, args) = match raw.split_once(':') {
-                Some((h, a)) => (h.trim(), Some(a)),
-                None => (raw, None),
-            };
-            let (kind_name, nodes) = match head.split_once('@') {
-                Some((k, n)) => (k.trim(), parse_nodes(n.trim())?),
-                None => (head, NodeSet::All),
-            };
-
-            let mut window = IntervalWindow::ALWAYS;
+        for clause in parse_clauses::<u64>(spec, "fleet fault spec", "node id")? {
+            let raw = clause.raw;
             let mut period = None;
             let mut down = None;
             let mut ticks = None;
             let mut field = None;
             let mut rate = None;
-            for kv in args.into_iter().flat_map(|a| a.split(',')) {
-                let kv = kv.trim();
-                if kv.is_empty() {
-                    continue;
-                }
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| bad(format!("`{kv}` is not key=value")))?;
-                let value = value.trim();
-                match key.trim() {
-                    "from" => window.from = parse_num(value, "from")?,
-                    "to" => window.to = Some(parse_num(value, "to")?),
-                    "period" => period = Some(parse_u64(value, "period")?),
-                    "down" => down = Some(parse_u64(value, "down")?),
-                    "ticks" => ticks = Some(parse_u64(value, "ticks")?),
+            for &(key, value) in &clause.args {
+                match key {
+                    "period" => period = Some(parse_num(value, "period")?),
+                    "down" => down = Some(parse_num(value, "down")?),
+                    "ticks" => ticks = Some(parse_num(value, "ticks")?),
                     "field" => {
                         field = Some(match value {
                             "nan" => CorruptField::Nan,
@@ -252,21 +230,13 @@ impl FleetFaultPlan {
                             }
                         });
                     }
-                    "rate" => rate = Some(parse_float(value, "rate")?),
-                    other => return Err(bad(format!("unknown key `{other}` in `{raw}`"))),
-                }
-            }
-            if let Some(to) = window.to {
-                if to <= window.from {
-                    return Err(bad(format!(
-                        "empty window [{}, {to}) in `{raw}`",
-                        window.from
-                    )));
+                    "rate" => rate = Some(parse_num(value, "rate")?),
+                    other => return Err(clause.unknown_key(other)),
                 }
             }
             let rate_in_range = |r: f64| r > 0.0 && r <= 1.0;
 
-            let kind = match kind_name {
+            let kind = match clause.kind {
                 "flap" => {
                     let period =
                         period.ok_or_else(|| bad(format!("flap needs period= in `{raw}`")))?;
@@ -309,12 +279,9 @@ impl FleetFaultPlan {
             };
             clauses.push(FleetFaultClause {
                 kind,
-                nodes,
-                window,
+                nodes: clause.targets.map_or(NodeSet::All, NodeSet::Nodes),
+                window: clause.window,
             });
-        }
-        if clauses.is_empty() {
-            return Err(bad("fleet fault spec contains no clauses".into()));
         }
         Ok(Self {
             clauses,
@@ -340,36 +307,6 @@ impl FleetFaultPlan {
         }
         Ok(())
     }
-}
-
-fn parse_nodes(s: &str) -> Result<NodeSet> {
-    if s.eq_ignore_ascii_case("all") {
-        return Ok(NodeSet::All);
-    }
-    let list = s
-        .split('+')
-        .map(|p| {
-            p.trim()
-                .parse::<u64>()
-                .map_err(|_| GpmError::FaultSpec(format!("bad node id `{p}`")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(NodeSet::Nodes(list))
-}
-
-fn parse_num(s: &str, key: &str) -> Result<usize> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad integer for {key}: `{s}`")))
-}
-
-fn parse_u64(s: &str, key: &str) -> Result<u64> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad integer for {key}: `{s}`")))
-}
-
-fn parse_float(s: &str, key: &str) -> Result<f64> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad number for {key}: `{s}`")))
 }
 
 /// Stateless fault oracle for one fleet run.
@@ -532,15 +469,6 @@ impl FleetFaultSession {
 fn in_window(window: &IntervalWindow, tick: u64) -> bool {
     let t = usize::try_from(tick).unwrap_or(usize::MAX);
     window.contains(t)
-}
-
-/// SplitMix64 finalizer: the standard avalanche mix.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

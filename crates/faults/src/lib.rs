@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod clause;
 mod fleet;
 mod plan;
 mod session;

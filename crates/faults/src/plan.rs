@@ -3,6 +3,8 @@
 use gpm_types::{GpmError, Result};
 use serde::{Deserialize, Serialize};
 
+use crate::clause::{parse_clauses, parse_num};
+
 /// Default seed for the deterministic fault RNG (noise draws).
 pub const DEFAULT_SEED: u64 = 0xfa_017;
 
@@ -197,56 +199,25 @@ impl FaultPlan {
     pub fn parse(spec: &str) -> Result<Self> {
         let bad = |msg: String| GpmError::FaultSpec(msg);
         let mut clauses = Vec::new();
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (head, args) = match raw.split_once(':') {
-                Some((h, a)) => (h.trim(), Some(a)),
-                None => (raw, None),
-            };
-            let (kind_name, cores) = match head.split_once('@') {
-                Some((k, c)) => (k.trim(), parse_cores(c.trim())?),
-                None => (head, CoreSet::All),
-            };
-
-            let mut window = IntervalWindow::ALWAYS;
+        for clause in parse_clauses::<usize>(spec, "fault spec", "core index")? {
+            let raw = clause.raw;
             let mut std = None;
-            let mut factor = None;
+            let mut factor: Option<f64> = None;
             let mut lag = None;
             let mut delay = None;
             let mut frac = None;
-            for kv in args.into_iter().flat_map(|a| a.split(',')) {
-                let kv = kv.trim();
-                if kv.is_empty() {
-                    continue;
-                }
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| bad(format!("`{kv}` is not key=value")))?;
-                let value = value.trim();
-                match key.trim() {
-                    "from" => window.from = parse_num(value, "from")?,
-                    "to" => window.to = Some(parse_num(value, "to")?),
-                    "std" => std = Some(parse_float(value, "std")?),
-                    "factor" => factor = Some(parse_float(value, "factor")?),
+            for &(key, value) in &clause.args {
+                match key {
+                    "std" => std = Some(parse_num(value, "std")?),
+                    "factor" => factor = Some(parse_num(value, "factor")?),
                     "lag" => lag = Some(parse_num(value, "lag")?),
                     "delay" => delay = Some(parse_num(value, "delay")?),
-                    "frac" => frac = Some(parse_float(value, "frac")?),
-                    other => return Err(bad(format!("unknown key `{other}` in `{raw}`"))),
-                }
-            }
-            if let Some(to) = window.to {
-                if to <= window.from {
-                    return Err(bad(format!(
-                        "empty window [{}, {to}) in `{raw}`",
-                        window.from
-                    )));
+                    "frac" => frac = Some(parse_num(value, "frac")?),
+                    other => return Err(clause.unknown_key(other)),
                 }
             }
 
-            let kind = match kind_name {
+            let kind = match clause.kind {
                 "noise" => {
                     let std = std.ok_or_else(|| bad(format!("noise needs std= in `{raw}`")))?;
                     if !(std > 0.0 && std < 1.0) {
@@ -286,12 +257,9 @@ impl FaultPlan {
             };
             clauses.push(FaultClause {
                 kind,
-                cores,
-                window,
+                cores: clause.targets.map_or(CoreSet::All, CoreSet::Cores),
+                window: clause.window,
             });
-        }
-        if clauses.is_empty() {
-            return Err(bad("fault spec contains no clauses".into()));
         }
         Ok(Self {
             clauses,
@@ -325,31 +293,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-}
-
-fn parse_cores(s: &str) -> Result<CoreSet> {
-    if s.eq_ignore_ascii_case("all") {
-        return Ok(CoreSet::All);
-    }
-    let list = s
-        .split('+')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .map_err(|_| GpmError::FaultSpec(format!("bad core index `{p}`")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(CoreSet::Cores(list))
-}
-
-fn parse_num(s: &str, key: &str) -> Result<usize> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad integer for {key}: `{s}`")))
-}
-
-fn parse_float(s: &str, key: &str) -> Result<f64> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad number for {key}: `{s}`")))
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! shutdown path is protocol-level: a `Shutdown` frame stops the server
 //! after the current connection, and `--once` stops it after the first
 //! client disconnects, so scripts get a clean exit without any signal
-//! handling.
+//! handling. Reports a client queued but never cut with a `TickEnd` are
+//! discarded when its connection ends (counted as dark drops), so one
+//! client's half-submitted tick never reaches the next client.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -72,16 +74,26 @@ impl std::fmt::Display for Endpoint {
 pub struct ServeStats {
     /// Shard count the server runs with.
     pub shards: usize,
-    /// Submissions rejected at the shard router (exhausted per-shard
-    /// ingest window).
+    /// Submissions rejected for backpressure (a full tick queue): every
+    /// shard's `rejected_backpressure`, summed.
     pub router_rejected: u64,
     /// Every shard's engine accounting, merged.
     pub fleet: FleetStats,
 }
 
+impl ServeStats {
+    fn of(engine: &mut ShardedEngine) -> Self {
+        Self {
+            shards: engine.shards(),
+            router_rejected: engine.router_rejected(),
+            fleet: engine.stats(),
+        }
+    }
+}
+
 /// Server configuration beyond the [`FleetConfig`] each shard gets.
 pub struct ServeOptions {
-    /// Shard count (engines and worker threads). Must be at least 1.
+    /// Shard count (private engines). Must be at least 1.
     pub shards: usize,
     /// Per-shard engine configuration. A whole-rack budget should be
     /// divided by `shards` before it goes in here (the CLI does this),
@@ -198,6 +210,9 @@ impl Server {
                     serve_connection(stream, &mut self.engine)
                 }
             };
+            // Reports of a tick the client never cut die with its
+            // connection, whichever way it ended.
+            self.engine.discard_queued();
             connections += 1;
             match outcome {
                 Ok(conn) => {
@@ -214,11 +229,7 @@ impl Server {
                 shutdown = true;
             }
         }
-        let stats = ServeStats {
-            shards: self.engine.shards(),
-            router_rejected: self.engine.router_rejected(),
-            fleet: self.engine.stats(),
-        };
+        let stats = ServeStats::of(&mut self.engine);
         if let Listener::Unix(_, path) = &self.listener {
             let _ = std::fs::remove_file(path);
         }
@@ -276,12 +287,7 @@ where
                 write_all(&mut writer, &out)?;
             }
             Frame::StatsRequest => {
-                let stats = ServeStats {
-                    shards: engine.shards(),
-                    router_rejected: engine.router_rejected(),
-                    fleet: engine.stats(),
-                };
-                let json = serde_json::to_string(&stats)
+                let json = serde_json::to_string(&ServeStats::of(engine))
                     .map_err(|err| GpmError::Wire(format!("encoding stats: {err}")))?;
                 out.clear();
                 encode_stats(&json, &mut out);

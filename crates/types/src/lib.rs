@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod hash;
 mod ids;
 mod mode;
 mod quant;
@@ -37,6 +38,7 @@ mod stats;
 mod units;
 
 pub use error::GpmError;
+pub use hash::{fnv1a, splitmix64};
 pub use ids::CoreId;
 pub use mode::{Enumerate, ModeCombination, ModeOdometer, PowerMode};
 pub use quant::{quantize_value, QuantizedKey, QuantizedKeyBuilder};

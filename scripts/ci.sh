@@ -161,6 +161,12 @@ cargo run --release --quiet -p gpm-cli -- figure fleet --nodes 64 --fast \
 echo "==> GPM_BENCH_QUICK=1 cargo bench -p gpm-bench --bench sim_throughput"
 GPM_BENCH_QUICK=1 cargo bench -p gpm-bench --bench sim_throughput
 
+# The repository benchmark is its own cargo workspace building against
+# the library crates by path; run its tests so a library API change
+# cannot break the benchmark unnoticed.
+echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
+cargo test --offline --manifest-path perfbench/Cargo.toml --quiet
+
 # Gate the recorded benchmark trajectory: any before/after speedup row
 # in BENCH_sim_throughput.json below 0.95 (a >5% regression against its
 # recorded baseline, beyond best-of-N noise) fails CI, as does a missing

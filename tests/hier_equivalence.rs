@@ -24,24 +24,13 @@ use gpm::cmp::{ClusterTopology, FullCmpOutcome, FullCmpSim, InterconnectConfig};
 use gpm::core::{cluster_budgets, PowerBipsMatrices};
 use gpm::microarch::CoreConfig;
 use gpm::power::{DvfsParams, PowerModel};
-use gpm::types::{Micros, ModeCombination, PowerMode, Watts};
+use gpm::types::{fnv1a, Micros, ModeCombination, PowerMode, Watts};
 use gpm::workloads::{combos, WorkloadCombo};
 use proptest::prelude::*;
 
 /// `gpm::par::set_max_threads` is a process-global override; tests that
 /// touch it must not interleave.
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
-
-/// FNV-1a 64 over the serialized outcome; mirrors nothing in the library
-/// so the goldens cannot drift with it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Serializes every observable field of the outcome, floats by exact bit
 /// pattern, so the hash detects any drift at all. Matches

@@ -16,17 +16,24 @@
 //!    Unix socket yields bit-identical decision streams.
 //! 5. **Checkpoint/restore** — a sharded service restored from its
 //!    per-shard checkpoints continues bit-identically.
+//! 6. **Client isolation and submit parity** — a client that disconnects
+//!    mid-tick leaves nothing behind for the next client, `TickDone`
+//!    counts backpressure rejections at every shard count, and every
+//!    per-report `SubmitOutcome` is independent of the shard count.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::sync::Mutex;
 
 use gpm::core::fleet_load::PhaseTables;
-use gpm::core::{node_shard, FleetConfig, FleetEngine, NodeDecision, NodeTelemetry};
+use gpm::core::{
+    node_shard, DegradedConfig, FleetConfig, FleetEngine, NodeDecision, NodeTelemetry,
+    PowerBipsMatrices, SubmitOutcome,
+};
 use gpm::net::wire::{
     self, decode_frame, encode_frame, Frame, FrameReader, MAX_FRAME_BYTES, WIRE_VERSION,
 };
-use gpm::net::{connect, Endpoint, ServeOptions, Server, ShardedEngine};
+use gpm::net::{connect, Endpoint, ServeOptions, ServeSummary, Server, ShardedEngine};
 use gpm::types::{GpmError, ModeCombination, PowerMode, Watts};
 use proptest::prelude::*;
 
@@ -226,6 +233,139 @@ fn tcp_and_unix_transports_yield_identical_streams() {
     let over_unix = drive_transport(&Endpoint::Unix(socket), 2);
     assert_eq!(over_tcp, over_unix);
     assert_eq!(over_tcp.len(), NODES * TICKS as usize);
+}
+
+/// Serves one client tick on a fresh TCP server: `before` runs against
+/// the bound endpoint first, then a client submits `reports`, cuts tick 0
+/// and shuts the server down. Returns the streamed decisions, the
+/// `TickDone` frame and the server's summary.
+fn serve_one_tick(
+    shards: usize,
+    config: FleetConfig,
+    before: impl FnOnce(&Endpoint),
+    reports: &[NodeTelemetry],
+) -> (Vec<NodeDecision>, Frame, ServeSummary) {
+    let options = ServeOptions {
+        shards,
+        config,
+        once: false,
+    };
+    let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".into()), options).expect("binds");
+    let endpoint = server.local_endpoint();
+    let handle = std::thread::spawn(move || server.run().expect("server runs"));
+    before(&endpoint);
+    let stream = connect(&endpoint).expect("client connects");
+    let mut writer = BufWriter::new(stream.try_clone().expect("stream clones"));
+    let mut reader = FrameReader::new(BufReader::new(stream));
+    let mut out = Vec::new();
+    for report in reports {
+        wire::encode_telemetry(report, &mut out);
+    }
+    wire::encode_tick_end(0, &mut out);
+    wire::write_all(&mut writer, &out).expect("tick writes");
+    let mut decisions = Vec::new();
+    let done = loop {
+        match reader.read().expect("tick readback") {
+            Some(Frame::Decision(decision)) => decisions.push(decision),
+            Some(done @ Frame::TickDone { .. }) => break done,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    out.clear();
+    wire::encode_shutdown(&mut out);
+    wire::write_all(&mut writer, &out).expect("shutdown writes");
+    (decisions, done, handle.join().expect("server thread joins"))
+}
+
+#[test]
+fn disconnected_client_reports_never_reach_the_next_client() {
+    let tables = PhaseTables::build();
+    for shards in [1, 2] {
+        // Client A queues node 5 and hangs up without cutting the tick;
+        // client B submits node 6 and cuts it.
+        let client_a = |endpoint: &Endpoint| {
+            let mut out = Vec::new();
+            wire::encode_telemetry(&tables.telemetry(5, 0), &mut out);
+            let mut stream = connect(endpoint).expect("client A connects");
+            wire::write_all(&mut stream, &out).expect("client A writes");
+        };
+        let (decisions, _, summary) = serve_one_tick(
+            shards,
+            FleetConfig::default(),
+            client_a,
+            &[tables.telemetry(6, 0)],
+        );
+        let nodes: Vec<u64> = decisions.iter().map(|decision| decision.node).collect();
+        assert_eq!(
+            nodes,
+            vec![6],
+            "client B saw client A's report at {shards} shards"
+        );
+        assert_eq!(summary.stats.fleet.dropped_dark, 1);
+    }
+}
+
+#[test]
+fn tick_done_counts_backpressure_rejections_at_one_shard() {
+    let tables = PhaseTables::build();
+    let config = FleetConfig {
+        queue_capacity: 4,
+        ..FleetConfig::default()
+    };
+    let reports: Vec<NodeTelemetry> = (0..6).map(|node| tables.telemetry(node, 0)).collect();
+    let (_, done, summary) = serve_one_tick(1, config, |_| {}, &reports);
+    let expected = Frame::TickDone {
+        tick: 0,
+        decisions: 4,
+        rejected: 2,
+    };
+    assert_eq!(done, expected);
+    assert_eq!(summary.stats.router_rejected, 2);
+}
+
+#[test]
+fn submit_outcomes_do_not_depend_on_shard_count() {
+    let tables = PhaseTables::build();
+    // Nodes owned by shard 0 at both K = 2 and K = 4, so every shard
+    // count queues them in one engine.
+    let nodes: Vec<u64> = (0u64..)
+        .filter(|&node| node_shard(node, 2) == 0 && node_shard(node, 4) == 0)
+        .take(6)
+        .collect();
+    let config = FleetConfig {
+        queue_capacity: 3,
+        degraded: Some(DegradedConfig::default()),
+        ..FleetConfig::default()
+    };
+    let drive = |shards: usize| {
+        let mut engine = ShardedEngine::homogeneous(&config, shards).expect("config is valid");
+        let mut outcomes = Vec::new();
+        let mut decisions = Vec::new();
+        for tick in 0..4u64 {
+            // One NaN-power report, then a burst of twice the queue
+            // capacity: the tail is rejected with growing backoff hints.
+            let mut nan = tables.telemetry(nodes[0], tick);
+            let cores = nan.matrices.cores();
+            nan.matrices = PowerBipsMatrices::from_rows(
+                vec![[f64::NAN, 10.0, 5.0]; cores],
+                vec![[1.0, 0.9, 0.8]; cores],
+            );
+            outcomes.push(engine.try_submit(nan));
+            for &node in &nodes {
+                outcomes.push(engine.try_submit(tables.telemetry(node, tick)));
+            }
+            decisions.extend(engine.run_tick(tick));
+        }
+        (outcomes, decisions)
+    };
+    let reference = drive(1);
+    assert_eq!(reference.0[0], SubmitOutcome::Invalid);
+    assert!(reference
+        .0
+        .contains(&SubmitOutcome::Rejected { retry_at: 11 }));
+    for shards in [2, 4] {
+        assert_eq!(reference, drive(shards), "diverged at {shards} shards");
+    }
 }
 
 // ---------------------------------------------------------------------

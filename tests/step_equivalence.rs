@@ -23,20 +23,9 @@ use gpm::microarch::{
 };
 use gpm::power::DvfsParams;
 use gpm::trace::{capture_benchmark, CaptureConfig, CaptureEngine};
-use gpm::types::{Hertz, PowerMode};
+use gpm::types::{fnv1a, Hertz, PowerMode};
 use gpm::workloads::SpecBenchmark;
 use proptest::prelude::*;
-
-/// FNV-1a 64 over the serialized trace; mirrors nothing in the library so
-/// the goldens cannot drift with it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Hashes of `serde_json::to_string` of each mode's `ModeTrace`, captured
 /// with `CaptureConfig::fast(150_000)` on the pre-overhaul seed commit, in
