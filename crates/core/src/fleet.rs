@@ -60,15 +60,14 @@
 //!
 //! [`FleetFaultSession`]: gpm_faults::FleetFaultSession
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    fnv1a, splitmix64, CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, Result,
-    Watts,
+    fnv1a, splitmix64, BuildDigestHasher, CoreId, GpmError, Micros, ModeCombination, PowerMode,
+    QuantizedKey, QuantizedKeyBuilder, Result, Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
@@ -150,9 +149,11 @@ pub struct FleetConfig {
     /// `stale_tolerance`.
     pub dark_after: usize,
     /// Largest core count solved by the flat exact branch-and-bound;
-    /// wider nodes use [`HierMaxBips`]. Must be at least 1.
+    /// wider nodes use [`HierMaxBips`]. Must be between 1 and
+    /// [`solver::MAX_CORES`].
     pub flat_core_limit: usize,
-    /// Cluster width for the hierarchical solver on wide nodes.
+    /// Cluster width for the hierarchical solver on wide nodes. Must be
+    /// between 1 and [`solver::MAX_CORES`].
     pub cluster_cores: usize,
     /// DVFS operating points assumed for every node (homogeneous fleet).
     pub dvfs: DvfsParams,
@@ -520,6 +521,29 @@ pub struct FleetEngine {
     /// The tick after the last processed one (backoff hints count from
     /// here between ticks).
     next_tick: u64,
+    /// Reused buffer every report's key words are written into.
+    key_buf: QuantizedKeyBuilder,
+}
+
+/// Sentinel group index ending a digest chain.
+const NIL: usize = usize::MAX;
+
+/// One within-tick dedup group: the reports of a tick sharing a key.
+struct Group {
+    /// The leader's key, until a miss moves it into the cache.
+    key: Option<QuantizedKey>,
+    /// Next group whose key has the same digest (`NIL` ends the chain).
+    twin: usize,
+    /// Batch index of the first report with this key.
+    leader: usize,
+    /// Reports in the group; Phase E counts it down as it hands out
+    /// decisions.
+    members: usize,
+    combo: Option<ModeCombination>,
+    timed_out: bool,
+    /// Power estimate of the decision from the leader's matrices (rack
+    /// accounting).
+    watts: f64,
 }
 
 impl FleetEngine {
@@ -531,10 +555,14 @@ impl FleetEngine {
                 reason: "tick queue must hold at least one report".into(),
             });
         }
-        if config.flat_core_limit == 0 {
+        if config.flat_core_limit == 0 || config.flat_core_limit > solver::MAX_CORES {
             return Err(GpmError::InvalidConfig {
                 parameter: "fleet.flat_core_limit",
-                reason: "flat solver limit must be at least 1".into(),
+                reason: format!(
+                    "flat solver limit must be between 1 and {} cores, got {}",
+                    solver::MAX_CORES,
+                    config.flat_core_limit
+                ),
             });
         }
         if config.dark_after <= config.stale_tolerance {
@@ -594,6 +622,7 @@ impl FleetEngine {
             backoff_nodes: 0,
             rack_state,
             next_tick: 0,
+            key_buf: QuantizedKeyBuilder::default(),
             config,
         })
     }
@@ -803,59 +832,71 @@ impl FleetEngine {
         }
 
         // Phase B — within-tick dedup: group by canonical key, first
-        // occurrence leads. Group order (= first-occurrence order) drives
-        // every later cache access, so nothing depends on hash iteration
-        // order.
-        let mut index: HashMap<QuantizedKey, usize> = HashMap::new();
-        let mut groups: Vec<(QuantizedKey, Vec<usize>)> = Vec::new();
+        // occurrence leads. Each report's key words go into one reused
+        // buffer and are digested once; only a group's leader copies them
+        // out. Group order (= first-occurrence order) drives every later
+        // cache access, so nothing depends on hash iteration order.
+        let mut index: HashMap<u64, usize, BuildDigestHasher> = HashMap::default();
+        let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(accepted.len());
-        for &i in accepted.iter() {
+        for &i in &accepted {
             let report = &batch[i];
-            let key = self.cache.key(
+            self.cache.write_key(
+                &mut self.key_buf,
                 &report.matrices,
                 &report.current,
                 report.budget,
                 &self.config.dvfs,
                 self.config.explore,
             );
-            let a = group_of.len();
-            match index.entry(key.clone()) {
-                Entry::Occupied(entry) => {
-                    group_of.push(*entry.get());
-                    groups[*entry.get()].1.push(a);
-                }
-                Entry::Vacant(entry) => {
-                    entry.insert(groups.len());
-                    group_of.push(groups.len());
-                    groups.push((key, vec![a]));
-                }
+            let key = self.key_buf.view();
+            let first = index.entry(key.digest()).or_insert(NIL);
+            let mut g = *first;
+            while g != NIL && groups[g].key.as_ref().map(QuantizedKey::view) != Some(key) {
+                g = groups[g].twin;
             }
+            if g == NIL {
+                g = groups.len();
+                groups.push(Group {
+                    key: Some(key.to_key()),
+                    twin: *first,
+                    leader: i,
+                    members: 0,
+                    combo: None,
+                    timed_out: false,
+                    watts: 0.0,
+                });
+                *first = g;
+            }
+            groups[g].members += 1;
+            group_of.push(g);
         }
 
         // Phase C — leaders probe the cross-tick cache serially, in group
         // order; solver-timeout injection diverts residual-miss groups to
         // the degraded path before they can touch the accounting identity.
-        let mut results: Vec<Option<ModeCombination>> = vec![None; accepted.len()];
-        let mut timed_out: Vec<bool> = vec![false; accepted.len()];
-        let mut timed_out_members: u64 = 0;
-        let mut avoided_this_tick: u64 = 0;
-        let mut misses: Vec<usize> = Vec::new();
-        // Power estimate per group, computed once from the leader's
+        //
+        // Power estimates are per group, computed once from the leader's
         // matrices: members of a dedup group share one quantization
         // bucket, so at the exact default their matrices are bit-identical
         // and the leader's estimate IS every member's estimate. (Coarse
         // quanta make this the bucket representative's estimate, same as
         // the served decision itself.) Keeps rack accounting O(groups),
         // not O(nodes), per tick.
-        let mut group_watts: Vec<f64> = vec![0.0; if track_power { groups.len() } else { 0 }];
-        for (g, (key, members)) in groups.iter().enumerate() {
-            if let Some(combo) = self.cache.get(key) {
+        let mut timed_out_members: u64 = 0;
+        let mut avoided_this_tick: u64 = 0;
+        let mut misses: Vec<usize> = Vec::new();
+        for (g, group) in groups.iter_mut().enumerate() {
+            let members = group.members as u64;
+            let leader = &batch[group.leader];
+            let key = group.key.as_ref().expect("keys are taken only by inserts");
+            if let Some(combo) = self.cache.lookup(key.view()) {
+                let combo = combo.clone();
                 self.stats.cache_hits += 1;
-                self.stats.dedup_hits += members.len() as u64 - 1;
-                avoided_this_tick += members.len() as u64;
+                self.stats.dedup_hits += members - 1;
+                avoided_this_tick += members;
                 if self.config.cache.verify_hits {
-                    let leader = &batch[accepted[members[0]]];
-                    let fresh = self.solve_one(leader);
+                    let fresh = solve_report(&self.config, leader);
                     assert_eq!(
                         combo, fresh,
                         "fleet cache hit diverged from a fresh solve; \
@@ -863,29 +904,21 @@ impl FleetEngine {
                     );
                 }
                 if track_power {
-                    let leader = &batch[accepted[members[0]]];
-                    group_watts[g] = leader.matrices.chip_power(&combo).value();
+                    group.watts = leader.matrices.chip_power(&combo).value();
                 }
-                for &a in members {
-                    results[a] = Some(combo.clone());
-                }
+                group.combo = Some(combo);
+            } else if self
+                .session
+                .as_ref()
+                .is_some_and(|s| s.solver_timeout(now, leader.node))
+            {
+                self.stats.solver_timeouts += 1;
+                timed_out_members += members;
+                group.timed_out = true;
             } else {
-                let leader = &batch[accepted[members[0]]];
-                let timeout = self
-                    .session
-                    .as_ref()
-                    .is_some_and(|s| s.solver_timeout(now, leader.node));
-                if timeout {
-                    self.stats.solver_timeouts += 1;
-                    timed_out_members += members.len() as u64;
-                    for &a in members {
-                        timed_out[a] = true;
-                    }
-                } else {
-                    self.stats.dedup_hits += members.len() as u64 - 1;
-                    avoided_this_tick += members.len() as u64 - 1;
-                    misses.push(g);
-                }
+                self.stats.dedup_hits += members - 1;
+                avoided_this_tick += members - 1;
+                misses.push(g);
             }
         }
         self.stats.decisions_total += accepted.len() as u64 - timed_out_members;
@@ -893,11 +926,9 @@ impl FleetEngine {
         // Phase D — residual misses fan out over the pool
         // (order-preserving map), then insert serially in miss order:
         // cache state — and with it every later eviction — is identical
-        // for any pool width.
-        let miss_leaders: Vec<&NodeTelemetry> = misses
-            .iter()
-            .map(|&g| &batch[accepted[groups[g].1[0]]])
-            .collect();
+        // for any pool width. Each leader's key moves into the cache.
+        let miss_leaders: Vec<&NodeTelemetry> =
+            misses.iter().map(|&g| &batch[groups[g].leader]).collect();
         let config = &self.config;
         let solved: Vec<(ModeCombination, f64)> = gpm_par::parallel_map(&miss_leaders, |report| {
             let start = Instant::now();
@@ -905,16 +936,15 @@ impl FleetEngine {
             (combo, start.elapsed().as_secs_f64() * 1e6)
         });
         for (&g, (combo, micros)) in misses.iter().zip(solved) {
+            let group = &mut groups[g];
             self.stats.unique_solves += 1;
             self.stats.solver_us_spent += micros;
-            self.cache.insert(groups[g].0.clone(), combo.clone());
             if track_power {
-                let leader = &batch[accepted[groups[g].1[0]]];
-                group_watts[g] = leader.matrices.chip_power(&combo).value();
+                group.watts = batch[group.leader].matrices.chip_power(&combo).value();
             }
-            for &a in &groups[g].1 {
-                results[a] = Some(combo.clone());
-            }
+            group.combo = Some(combo.clone());
+            let key = group.key.take().expect("a miss group inserts once");
+            self.cache.insert(key, combo);
         }
         if self.stats.unique_solves > 0 {
             let mean = self.stats.solver_us_spent / self.stats.unique_solves as f64;
@@ -922,62 +952,54 @@ impl FleetEngine {
         }
 
         // Phase E — assemble the output in submission order: solver-path
-        // decisions at their positions, degraded-path fallbacks (flagged)
-        // where reports failed. `sources[j]` remembers the backing report
-        // of each solver-path decision for rack re-estimation and
-        // last-good bookkeeping.
+        // decisions at their positions (the group's last member takes its
+        // combination, the others copy it), degraded-path fallbacks
+        // (flagged) where reports failed. `sources[j]` remembers the
+        // backing report of each solver-path decision for rack
+        // re-estimation and last-good bookkeeping.
         let mut out: Vec<NodeDecision> = Vec::with_capacity(batch.len());
         let capacity = if track_power { batch.len() } else { 0 };
         let mut estimates: Vec<f64> = Vec::with_capacity(capacity);
         let mut sources: Vec<Option<usize>> = Vec::with_capacity(capacity);
         for (i, disposition) in triage.iter().enumerate() {
             let report = &batch[i];
-            match disposition {
-                Triage::Accept(a) if !timed_out[*a] => {
-                    let modes = results[*a].clone().expect("every live group was decided");
+            let shape = match disposition {
+                Triage::Accept(a) if !groups[group_of[*a]].timed_out => {
+                    let group = &mut groups[group_of[*a]];
+                    group.members -= 1;
+                    let modes = if group.members == 0 {
+                        group.combo.take()
+                    } else {
+                        group.combo.clone()
+                    };
                     if track_power {
-                        estimates.push(group_watts[group_of[*a]]);
+                        estimates.push(group.watts);
                         sources.push(Some(i));
                     }
                     out.push(NodeDecision {
                         node: report.node,
                         tick: now,
-                        modes,
+                        modes: modes.expect("every live group was decided"),
                         degraded: false,
                     });
+                    continue;
                 }
-                Triage::Accept(_) | Triage::FallbackShaped => {
-                    let shape = Some(report);
-                    if let Some((modes, watts)) = self.make_fallback(report.node, shape) {
-                        self.stats.fallback_decisions += 1;
-                        if track_power {
-                            estimates.push(watts);
-                            sources.push(None);
-                        }
-                        out.push(NodeDecision {
-                            node: report.node,
-                            tick: now,
-                            modes,
-                            degraded: true,
-                        });
-                    }
+                Triage::Accept(_) | Triage::FallbackShaped => Some(report),
+                Triage::FallbackBlind => None,
+                Triage::Drop => continue,
+            };
+            if let Some((modes, watts)) = self.make_fallback(report.node, shape) {
+                self.stats.fallback_decisions += 1;
+                if track_power {
+                    estimates.push(watts);
+                    sources.push(None);
                 }
-                Triage::FallbackBlind => {
-                    if let Some((modes, watts)) = self.make_fallback(report.node, None) {
-                        self.stats.fallback_decisions += 1;
-                        if track_power {
-                            estimates.push(watts);
-                            sources.push(None);
-                        }
-                        out.push(NodeDecision {
-                            node: report.node,
-                            tick: now,
-                            modes,
-                            degraded: true,
-                        });
-                    }
-                }
-                Triage::Drop => {}
+                out.push(NodeDecision {
+                    node: report.node,
+                    tick: now,
+                    modes,
+                    degraded: true,
+                });
             }
         }
 
@@ -1228,11 +1250,6 @@ impl FleetEngine {
         engine.next_tick = checkpoint.next_tick;
         Ok(engine)
     }
-
-    /// Solves one report without the cache (verify-hits audit path).
-    fn solve_one(&self, report: &NodeTelemetry) -> ModeCombination {
-        solve_report(&self.config, report)
-    }
 }
 
 /// Whether a report is numerically sound: positive core count, matching
@@ -1461,6 +1478,52 @@ mod tests {
                 Err(GpmError::InvalidConfig { .. })
             ));
         }
+    }
+
+    #[test]
+    fn flat_core_limit_above_the_solver_limit_is_rejected() {
+        let config = FleetConfig {
+            flat_core_limit: solver::MAX_CORES + 1,
+            ..FleetConfig::default()
+        };
+        assert!(matches!(
+            FleetEngine::new(config),
+            Err(GpmError::InvalidConfig {
+                parameter: "fleet.flat_core_limit",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn cluster_cores_above_the_solver_limit_is_rejected() {
+        let config = FleetConfig {
+            cluster_cores: solver::MAX_CORES + 1,
+            ..FleetConfig::default()
+        };
+        assert!(matches!(
+            FleetEngine::new(config),
+            Err(GpmError::InvalidConfig {
+                parameter: "cluster_cores",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn widest_accepted_limits_decide_a_wider_report() {
+        // At the solver's limit on both knobs, a report one core wider
+        // still takes the hierarchical path instead of panicking a shard.
+        let mut engine = FleetEngine::new(FleetConfig {
+            flat_core_limit: solver::MAX_CORES,
+            cluster_cores: solver::MAX_CORES,
+            ..FleetConfig::default()
+        })
+        .expect("limits at the solver width are valid");
+        assert!(engine.submit(telemetry(0, 0, solver::MAX_CORES + 1, 0)));
+        let decisions = engine.run_tick(0);
+        assert_eq!(decisions.len(), 1);
+        assert_eq!(decisions[0].modes.len(), solver::MAX_CORES + 1);
     }
 
     #[test]

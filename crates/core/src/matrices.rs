@@ -125,6 +125,12 @@ impl PowerBipsMatrices {
         Bips::new(self.bips[core.value()][mode.index()])
     }
 
+    /// The raw `(power, bips)` rows, indexed `[core][mode]` — the solver's
+    /// decision tables, read without per-cell accessor calls.
+    pub(crate) fn rows(&self) -> (&[[f64; PowerMode::COUNT]], &[[f64; PowerMode::COUNT]]) {
+        (&self.power, &self.bips)
+    }
+
     /// Whether every power and BIPS cell is finite and non-negative — the
     /// fleet engine's telemetry-validation fast path (one contiguous scan,
     /// no per-cell accessor indirection).

@@ -25,12 +25,14 @@
 //! list tail — never anything derived from `HashMap` iteration order. Two
 //! runs issuing the same key sequence hold identical cache contents.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
 use gpm_power::DvfsParams;
 use gpm_types::{
-    GpmError, Micros, ModeCombination, QuantizedKey, QuantizedKeyBuilder, Result, Watts,
+    BuildDigestHasher, GpmError, KeyView, Micros, ModeCombination, QuantizedKey,
+    QuantizedKeyBuilder, Result, Watts,
 };
 
 use crate::PowerBipsMatrices;
@@ -118,13 +120,16 @@ pub struct CacheSnapshot {
     pub solve_count: u64,
 }
 
-/// One memoized decision in the slot arena.
+/// One memoized decision in the slot arena. The slot holds the entry's
+/// only copy of its key; the digest index points at slots.
 #[derive(Debug)]
 struct Slot {
     key: QuantizedKey,
     combo: ModeCombination,
     prev: usize,
     next: usize,
+    /// Next slot whose key has the same digest (`NIL` ends the chain).
+    twin: usize,
 }
 
 /// A bounded LRU memo of solved mode-assignment problems, keyed on the
@@ -153,8 +158,14 @@ struct Slot {
 #[derive(Debug)]
 pub struct DecisionCache {
     config: CacheConfig,
-    map: HashMap<QuantizedKey, usize>,
+    /// Key digest → first slot of that digest's chain. The digest is
+    /// already a keyed SipHash, so the map hashes it through unchanged;
+    /// word equality is checked along the chain.
+    index: HashMap<u64, usize, BuildDigestHasher>,
     slots: Vec<Slot>,
+    len: usize,
+    /// A slot released by the last eviction, refilled by the next insert.
+    free: usize,
     head: usize,
     tail: usize,
     counters: CacheCounters,
@@ -172,8 +183,13 @@ impl DecisionCache {
             });
         }
         Ok(Self {
-            map: HashMap::with_capacity(config.capacity.min(1 << 16)),
+            index: HashMap::with_capacity_and_hasher(
+                config.capacity.saturating_add(1).min(1 << 16),
+                BuildDigestHasher::default(),
+            ),
             slots: Vec::new(),
+            len: 0,
+            free: NIL,
             head: NIL,
             tail: NIL,
             counters: CacheCounters::default(),
@@ -192,13 +208,13 @@ impl DecisionCache {
     /// Number of memoized decisions currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the cache holds no decisions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// The accumulated hit/savings counters.
@@ -229,68 +245,110 @@ impl DecisionCache {
         dvfs: &DvfsParams,
         explore: Micros,
     ) -> QuantizedKey {
+        let mut builder = QuantizedKeyBuilder::with_capacity(7 * matrices.cores() + 6);
+        self.write_key(&mut builder, matrices, current, budget, dvfs, explore);
+        builder.finish()
+    }
+
+    /// Writes the words of [`key`](Self::key) into `builder`, replacing
+    /// what it held, so a caller keying many problems reuses one buffer.
+    pub fn write_key(
+        &self,
+        builder: &mut QuantizedKeyBuilder,
+        matrices: &PowerBipsMatrices,
+        current: &ModeCombination,
+        budget: Watts,
+        dvfs: &DvfsParams,
+        explore: Micros,
+    ) {
         let cores = matrices.cores();
-        let mut b = QuantizedKeyBuilder::with_capacity(7 * cores + 6);
-        b.push_word(cores as u64);
+        builder.clear();
+        builder.push_word(cores as u64);
         for core in 0..cores {
             let id = gpm_types::CoreId::new(core);
             for mode in gpm_types::PowerMode::ALL {
-                b.push_value(matrices.power(id, mode).value(), self.config.watt_quantum);
+                builder.push_value(matrices.power(id, mode).value(), self.config.watt_quantum);
             }
             for mode in gpm_types::PowerMode::ALL {
-                b.push_value(matrices.bips(id, mode).value(), self.config.bips_quantum);
+                builder.push_value(matrices.bips(id, mode).value(), self.config.bips_quantum);
             }
         }
         for &mode in current.as_slice() {
-            b.push_word(mode.index() as u64);
+            builder.push_word(mode.index() as u64);
         }
-        b.push_value(budget.value(), self.config.budget_quantum);
-        b.push_word(explore.value().to_bits());
-        b.push_word(dvfs.nominal_vdd.value().to_bits());
-        b.push_word(dvfs.nominal_frequency.value().to_bits());
-        b.push_word(dvfs.slew_rate_v_per_us.to_bits());
-        b.finish()
+        builder.push_value(budget.value(), self.config.budget_quantum);
+        builder.push_word(explore.value().to_bits());
+        builder.push_word(dvfs.nominal_vdd.value().to_bits());
+        builder.push_word(dvfs.nominal_frequency.value().to_bits());
+        builder.push_word(dvfs.slew_rate_v_per_us.to_bits());
     }
 
     /// Raw lookup: returns the memoized combination for `key` (promoting
     /// it to most-recently-used) without touching the counters. The fleet
     /// engine uses this and accounts for hits itself.
     pub fn get(&mut self, key: &QuantizedKey) -> Option<ModeCombination> {
-        let slot = *self.map.get(key)?;
+        self.lookup(key.view()).cloned()
+    }
+
+    /// [`get`](Self::get) over a borrowed key, returning the memoized
+    /// combination by reference.
+    pub fn lookup(&mut self, key: KeyView<'_>) -> Option<&ModeCombination> {
+        let slot = find(&self.slots, *self.index.get(&key.digest())?, key.words())?;
         self.detach(slot);
         self.attach_front(slot);
-        Some(self.slots[slot].combo.clone())
+        Some(&self.slots[slot].combo)
     }
 
     /// Raw insert: memoizes `combo` under `key`, evicting the
     /// least-recently-used entry at capacity. Inserting an existing key
     /// refreshes its value and recency.
     pub fn insert(&mut self, key: QuantizedKey, combo: ModeCombination) {
-        if let Some(&slot) = self.map.get(&key) {
-            self.slots[slot].combo = combo;
-            self.detach(slot);
-            self.attach_front(slot);
-            return;
-        }
-        let slot = if self.map.len() == self.config.capacity {
-            // Reuse the evicted tail's slot.
-            let victim = self.tail;
-            self.detach(victim);
-            self.map.remove(&self.slots[victim].key);
-            self.slots[victim].key = key.clone();
-            self.slots[victim].combo = combo;
-            victim
-        } else {
-            self.slots.push(Slot {
-                key: key.clone(),
-                combo,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slots.len() - 1
+        let slots = &mut self.slots;
+        let slot = match self.index.entry(key.view().digest()) {
+            Entry::Occupied(mut first) => {
+                if let Some(slot) = find(slots, *first.get(), key.words()) {
+                    slots[slot].combo = combo;
+                    self.detach(slot);
+                    self.attach_front(slot);
+                    return;
+                }
+                let slot = fill(slots, &mut self.free, key, combo, *first.get());
+                first.insert(slot);
+                slot
+            }
+            Entry::Vacant(first) => *first.insert(fill(slots, &mut self.free, key, combo, NIL)),
         };
-        self.map.insert(key, slot);
+        self.len += 1;
         self.attach_front(slot);
+        if self.len > self.config.capacity {
+            self.evict_tail();
+        }
+    }
+
+    /// Drops the least-recently-used entry, leaving its slot free.
+    fn evict_tail(&mut self) {
+        let victim = self.tail;
+        self.detach(victim);
+        let digest = self.slots[victim].key.view().digest();
+        let twin = self.slots[victim].twin;
+        let Entry::Occupied(mut first) = self.index.entry(digest) else {
+            unreachable!("every held key is indexed");
+        };
+        if *first.get() == victim {
+            if twin == NIL {
+                first.remove();
+            } else {
+                first.insert(twin);
+            }
+        } else {
+            let mut slot = *first.get();
+            while self.slots[slot].twin != victim {
+                slot = self.slots[slot].twin;
+            }
+            self.slots[slot].twin = twin;
+        }
+        self.free = victim;
+        self.len -= 1;
     }
 
     /// The memoizing equivalent of [`solver::solve`]: answers from the
@@ -333,7 +391,7 @@ impl DecisionCache {
     /// order, so the snapshot is deterministic.
     #[must_use]
     pub fn snapshot(&self) -> CacheSnapshot {
-        let mut entries = Vec::with_capacity(self.map.len());
+        let mut entries = Vec::with_capacity(self.len);
         let mut slot = self.tail;
         while slot != NIL {
             entries.push((self.slots[slot].key.clone(), self.slots[slot].combo.clone()));
@@ -397,6 +455,43 @@ impl DecisionCache {
         if self.tail == NIL {
             self.tail = slot;
         }
+    }
+}
+
+/// The slot in the digest chain starting at `slot` whose key has `words`.
+fn find(slots: &[Slot], mut slot: usize, words: &[u64]) -> Option<usize> {
+    while slot != NIL {
+        if slots[slot].key.words() == words {
+            return Some(slot);
+        }
+        slot = slots[slot].twin;
+    }
+    None
+}
+
+/// Stores a new entry in the free slot (or a fresh one) at the head of a
+/// digest chain whose old head is `twin`; returns its slot.
+fn fill(
+    slots: &mut Vec<Slot>,
+    free: &mut usize,
+    key: QuantizedKey,
+    combo: ModeCombination,
+    twin: usize,
+) -> usize {
+    let entry = Slot {
+        key,
+        combo,
+        prev: NIL,
+        next: NIL,
+        twin,
+    };
+    if *free == NIL {
+        slots.push(entry);
+        slots.len() - 1
+    } else {
+        let slot = std::mem::replace(free, NIL);
+        slots[slot] = entry;
+        slot
     }
 }
 
@@ -628,6 +723,69 @@ mod tests {
             exact.key(&m1, &current, Watts::new(30.0), &dvfs, Micros::new(500.0)),
             exact.key(&m2, &current, Watts::new(30.1), &dvfs, Micros::new(500.0))
         );
+    }
+
+    #[test]
+    fn equal_words_from_two_caches_are_one_key() {
+        let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
+        let (a, b) = (
+            DecisionCache::new(CacheConfig::default()).expect("valid config"),
+            DecisionCache::new(CacheConfig {
+                capacity: 7,
+                ..CacheConfig::default()
+            })
+            .expect("valid config"),
+        );
+        let mut keys = std::collections::HashSet::new();
+        assert!(keys.insert(key_of(&a, &f, 30.0)));
+        assert!(
+            !keys.insert(key_of(&b, &f, 30.0)),
+            "equal words must hash and compare equal across caches"
+        );
+        assert!(keys.contains(&key_of(&b, &f, 30.0)));
+        assert!(!keys.contains(&key_of(&b, &f, 31.0)));
+        // A key rebuilt from its words alone (as a restore does) is the
+        // same key.
+        let rebuilt = KeyView::new(key_of(&a, &f, 30.0).words()).to_key();
+        assert!(keys.contains(&rebuilt));
+    }
+
+    #[test]
+    fn json_restored_full_cache_hits_and_evicts_like_the_original() {
+        let f = Fixture::new(&[(20.0, 2.0)]);
+        let config = CacheConfig {
+            capacity: 4,
+            ..CacheConfig::default()
+        };
+        let mut original = DecisionCache::new(config.clone()).expect("valid config");
+        let combo = |budget: f64| {
+            ModeCombination::uniform(1, PowerMode::ALL[budget as usize % PowerMode::COUNT])
+        };
+        // Fill past capacity, then touch two entries so recency differs
+        // from insertion order.
+        for budget in [10.0, 11.0, 12.0, 13.0, 14.0, 15.0] {
+            original.insert(key_of(&original, &f, budget), combo(budget));
+        }
+        assert_eq!(original.len(), 4);
+        assert!(original.get(&key_of(&original, &f, 13.0)).is_some());
+        assert!(original.get(&key_of(&original, &f, 12.0)).is_some());
+
+        let json = serde_json::to_string(&original.snapshot()).expect("snapshots serialize");
+        let snapshot: CacheSnapshot = serde_json::from_str(&json).expect("snapshots parse");
+        let mut restored = DecisionCache::restore(config, &snapshot).expect("valid config");
+        assert_eq!(restored.snapshot(), original.snapshot());
+
+        // The same probes and inserts: identical hits, identical victims.
+        for budget in [16.0, 10.0, 14.0, 17.0, 13.0, 18.0, 15.0, 12.0, 16.0] {
+            let key = key_of(&original, &f, budget);
+            let (a, b) = (original.get(&key), restored.get(&key));
+            assert_eq!(a, b, "probe at {budget}");
+            if a.is_none() {
+                original.insert(key.clone(), combo(budget));
+                restored.insert(key, combo(budget));
+            }
+            assert_eq!(restored.snapshot(), original.snapshot(), "after {budget}");
+        }
     }
 
     #[test]

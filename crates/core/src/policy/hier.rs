@@ -65,12 +65,22 @@ impl HierMaxBips {
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] when `cluster_cores` is zero.
+    /// Returns [`GpmError::InvalidConfig`] when `cluster_cores` is zero or
+    /// wider than the exact solver accepts ([`solver::MAX_CORES`]).
     pub fn with_cluster_cores(cluster_cores: usize) -> Result<Self> {
         if cluster_cores == 0 {
             return Err(GpmError::InvalidConfig {
                 parameter: "cluster_cores",
                 reason: "need at least one core per cluster".into(),
+            });
+        }
+        if cluster_cores > solver::MAX_CORES {
+            return Err(GpmError::InvalidConfig {
+                parameter: "cluster_cores",
+                reason: format!(
+                    "{cluster_cores} cores per cluster exceeds the exact solver's {} cores",
+                    solver::MAX_CORES
+                ),
             });
         }
         Ok(Self { cluster_cores })
@@ -109,34 +119,23 @@ impl Policy for HierMaxBips {
 
         let budgets = cluster_budgets(ctx.matrices, self.cluster_cores, ctx.budget);
 
-        // Per-cluster sub-problems: (core range, sub-matrices, sub-modes).
+        // Per-cluster sub-problems: core ranges, solved in place on the
+        // chip's rows.
         let clusters: Vec<(usize, usize)> = (0..n)
             .step_by(self.cluster_cores)
             .map(|start| (start, (start + self.cluster_cores).min(n)))
             .collect();
+        let (power, bips) = ctx.matrices.rows();
         let solves: Vec<ModeCombination> = gpm_par::parallel_map(&clusters, |&(start, end)| {
-            let mut power = Vec::with_capacity(end - start);
-            let mut bips = Vec::with_capacity(end - start);
-            for core in start..end {
-                let id = CoreId::new(core);
-                let mut p_row = [0.0; PowerMode::COUNT];
-                let mut b_row = [0.0; PowerMode::COUNT];
-                for mode in PowerMode::ALL {
-                    p_row[mode.index()] = ctx.matrices.power(id, mode).value();
-                    b_row[mode.index()] = ctx.matrices.bips(id, mode).value();
-                }
-                power.push(p_row);
-                bips.push(b_row);
-            }
-            let sub = PowerBipsMatrices::from_rows(power, bips);
-            let current = ModeCombination::new(ctx.current_modes.as_slice()[start..end].to_vec());
-            solver::solve(
-                &sub,
-                &current,
+            solver::solve_rows(
+                &power[start..end],
+                &bips[start..end],
+                &ctx.current_modes.as_slice()[start..end],
                 budgets[start / self.cluster_cores],
                 ctx.dvfs,
                 ctx.explore,
             )
+            .0
         });
 
         let mut combo = ModeCombination::new(
@@ -146,31 +145,62 @@ impl Policy for HierMaxBips {
                 .collect(),
         );
 
-        // Promote pass: spend the slack the per-cluster floors and integer
-        // mode steps stranded. Deterministic: strict-largest predicted
-        // BIPS gain wins, lowest core index on ties.
-        loop {
-            let mut best: Option<(usize, PowerMode, f64)> = None;
-            for core in 0..n {
-                let id = CoreId::new(core);
-                let Some(up) = combo.mode(id).faster() else {
-                    continue;
-                };
-                let gain = ctx.matrices.bips(id, up).value()
-                    - ctx.matrices.bips(id, combo.mode(id)).value();
-                let mut trial = combo.clone();
-                trial.set(id, up);
-                if ctx.matrices.chip_power(&trial) > ctx.budget
-                    || !best.is_none_or(|(_, _, g)| gain > g)
-                {
-                    continue;
-                }
+        promote(ctx.matrices, ctx.budget, &mut combo);
+        combo
+    }
+}
+
+/// The promote pass: spends the slack the per-cluster floors and integer
+/// mode steps stranded. Each step promotes the core with the strictly
+/// largest predicted BIPS gain (lowest core index on ties) whose promotion
+/// still fits `budget`, until none does.
+///
+/// "Fits" is the exact core-order [`PowerBipsMatrices::chip_power`] of the
+/// trial combination compared with `budget`. A step evaluates that in O(1)
+/// per core from the current combination's exact sum, and re-sums exactly
+/// (O(n)) only when the shortcut lands within a rounding guard band of the
+/// budget, so each step costs O(n) and decides exactly as a full re-sum
+/// per trial would.
+fn promote(matrices: &PowerBipsMatrices, budget: Watts, combo: &mut ModeCombination) {
+    let n = matrices.cores();
+    let budget = budget.value();
+    let power = |core: usize, mode: PowerMode| matrices.power(CoreId::new(core), mode).value();
+    let scale: f64 = (0..n)
+        .map(|core| {
+            PowerMode::ALL
+                .map(|m| power(core, m).abs())
+                .into_iter()
+                .fold(0.0, f64::max)
+        })
+        .sum();
+    let guard = solver::sum_guard(n, scale);
+    let mut total = matrices.chip_power(combo).value();
+    loop {
+        let mut best: Option<(usize, PowerMode, f64)> = None;
+        for core in 0..n {
+            let id = CoreId::new(core);
+            let from = combo.mode(id);
+            let Some(up) = from.faster() else {
+                continue;
+            };
+            let gain = matrices.bips(id, up).value() - matrices.bips(id, from).value();
+            if !best.is_none_or(|(_, _, g)| gain > g) {
+                continue;
+            }
+            let estimate = total - power(core, from) + power(core, up);
+            let over = solver::exceeds(estimate, budget, guard, || {
+                combo
+                    .iter()
+                    .map(|(c, m)| power(c.value(), if c == id { up } else { m }))
+                    .sum()
+            });
+            if !over {
                 best = Some((core, up, gain));
             }
-            let Some((core, up, _)) = best else { break };
-            combo.set(CoreId::new(core), up);
         }
-        combo
+        let Some((core, up, _)) = best else { break };
+        combo.set(CoreId::new(core), up);
+        total = matrices.chip_power(combo).value();
     }
 }
 
@@ -222,41 +252,41 @@ pub fn cluster_budgets(
         let cluster = core / cluster_cores;
         // The core's (power, bips) frontier: sort by power, drop points
         // that cost more without predicting more BIPS.
-        let mut points: Vec<(f64, f64)> = PowerMode::ALL
-            .iter()
-            .map(|&m| (matrices.power(id, m).value(), matrices.bips(id, m).value()))
-            .collect();
+        let mut points =
+            PowerMode::ALL.map(|m| (matrices.power(id, m).value(), matrices.bips(id, m).value()));
         points.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
-        let mut frontier: Vec<(f64, f64)> = Vec::with_capacity(points.len());
+        let mut frontier = [(0.0, 0.0); PowerMode::COUNT];
+        let mut len = 0;
         for (p, b) in points {
-            if frontier.last().is_none_or(|&(_, fb)| b > fb) {
-                frontier.push((p, b));
+            if len == 0 || b > frontier[len - 1].1 {
+                frontier[len] = (p, b);
+                len += 1;
             }
         }
         floors[cluster] += frontier[0].0;
         // Upper concave hull of the upgrade steps: merging any step whose
         // marginal ratio improves on its predecessor's keeps the poured
         // order greedy-optimal.
-        let mut hull: Vec<(f64, f64)> = Vec::with_capacity(frontier.len() - 1);
-        for w in frontier.windows(2) {
+        let mut hull = [(0.0, 0.0); PowerMode::COUNT - 1];
+        let mut hull_len = 0;
+        for w in frontier[..len].windows(2) {
             let (dw, db) = (w[1].0 - w[0].0, w[1].1 - w[0].1);
             if dw <= 0.0 {
                 continue;
             }
-            hull.push((dw, db));
-            while hull.len() >= 2 {
-                let [a, b] = hull[hull.len() - 2..] else {
-                    unreachable!()
-                };
+            hull[hull_len] = (dw, db);
+            hull_len += 1;
+            while hull_len >= 2 {
+                let (a, b) = (hull[hull_len - 2], hull[hull_len - 1]);
                 if b.1 / b.0 > a.1 / a.0 {
-                    hull.truncate(hull.len() - 2);
-                    hull.push((a.0 + b.0, a.1 + b.1));
+                    hull_len -= 1;
+                    hull[hull_len - 1] = (a.0 + b.0, a.1 + b.1);
                 } else {
                     break;
                 }
             }
         }
-        for (seg, (dw, db)) in hull.into_iter().enumerate() {
+        for (seg, &(dw, db)) in hull[..hull_len].iter().enumerate() {
             segments.push(Segment {
                 cluster,
                 core,
@@ -274,12 +304,10 @@ pub fn cluster_budgets(
         return vec![Watts::new(0.0); cluster_count];
     }
 
-    segments.sort_by(|a, b| {
-        b.ratio
-            .total_cmp(&a.ratio)
-            .then(a.cluster.cmp(&b.cluster))
-            .then(a.core.cmp(&b.core))
-            .then(a.seg.cmp(&b.seg))
+    // Descending ratio, then cluster, core and segment index: one integer
+    // key (cluster order is core order).
+    segments.sort_unstable_by_key(|s| {
+        u128::from(!solver::total_key(s.ratio)) << 64 | (s.core as u128) << 8 | s.seg as u128
     });
 
     let mut allocations = floors;
@@ -417,5 +445,62 @@ mod tests {
     fn zero_cluster_width_rejected() {
         assert!(HierMaxBips::with_cluster_cores(0).is_err());
         assert_eq!(HierMaxBips::default().cluster_cores(), 8);
+    }
+
+    #[test]
+    fn cluster_width_beyond_the_solver_limit_rejected() {
+        assert!(HierMaxBips::with_cluster_cores(solver::MAX_CORES).is_ok());
+        assert!(matches!(
+            HierMaxBips::with_cluster_cores(solver::MAX_CORES + 1),
+            Err(GpmError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn promote_pass_matches_a_full_resum_per_trial() {
+        // The reference promote pass: clone the combination per trial and
+        // re-sum the chip's power in core order.
+        fn reference(m: &PowerBipsMatrices, budget: Watts, combo: &mut ModeCombination) {
+            loop {
+                let mut best: Option<(usize, PowerMode, f64)> = None;
+                for core in 0..m.cores() {
+                    let id = CoreId::new(core);
+                    let Some(up) = combo.mode(id).faster() else {
+                        continue;
+                    };
+                    let gain = m.bips(id, up).value() - m.bips(id, combo.mode(id)).value();
+                    let mut trial = combo.clone();
+                    trial.set(id, up);
+                    if m.chip_power(&trial) > budget || !best.is_none_or(|(_, _, g)| gain > g) {
+                        continue;
+                    }
+                    best = Some((core, up, gain));
+                }
+                let Some((core, up, _)) = best else { break };
+                combo.set(CoreId::new(core), up);
+            }
+        }
+        // Budgets exactly at, and one ulp either side of, the power of some
+        // combination put trials on the budget, inside the guard band.
+        for rows in [
+            vec![(10.0, 1.0); 8],
+            vec![(0.1, 0.3), (0.2, 0.1), (0.3, 0.2), (0.7, 0.9), (1e-3, 0.5)],
+        ] {
+            let f = Fixture::new(&rows);
+            let n = rows.len();
+            let floor = ModeCombination::uniform(n, PowerMode::Eff2);
+            for rank in (0..3usize.pow(n as u32)).step_by(7) {
+                let at = f
+                    .matrices
+                    .chip_power(&ModeCombination::from_rank(n, rank))
+                    .value();
+                for budget in [at.next_down(), at, at.next_up()].map(Watts::new) {
+                    let (mut fast, mut slow) = (floor.clone(), floor.clone());
+                    promote(&f.matrices, budget, &mut fast);
+                    reference(&f.matrices, budget, &mut slow);
+                    assert_eq!(fast, slow, "budget {budget:?}");
+                }
+            }
+        }
     }
 }

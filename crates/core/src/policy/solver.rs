@@ -8,10 +8,11 @@
 //! combination is bit-identical to the scan's, including its tie-breaking —
 //! in three steps:
 //!
-//! 1. **Mode-major prediction tables.** Power, BIPS and per-core transition
-//!    stall are read out of [`PowerBipsMatrices`] once per decision into
-//!    dense `[mode][core]` arrays, so no candidate ever re-walks the
-//!    matrices.
+//! 1. **Prediction tables.** The search reads the matrices' `[core][mode]`
+//!    power and BIPS rows in place and takes each core's transition stall
+//!    from one `[from][to]` table, so no candidate ever re-walks the
+//!    matrix accessors or recomputes a transition cost. All other working
+//!    memory lives in a per-thread scratch reused across solves.
 //! 2. **Stall-class decomposition.** The transition de-rate factor
 //!    `explore / (explore + stall)` depends only on the *chip-wide maximum*
 //!    stall, which takes at most a handful of distinct values (four under
@@ -37,18 +38,21 @@
 //! [`BOUND_SLACK`] (absolute + relative), which covers the worst-case
 //! floating-point discrepancy between the bound's summation order and the
 //! leaf's — so a subtree is discarded only when no leaf in it can beat *or
-//! tie* the incumbent. Surviving leaves are evaluated through the exact
-//! same [`PowerBipsMatrices::chip_power`] /
-//! [`PowerBipsMatrices::chip_bips_with_transition`] calls as the scan,
-//! making the kept objective values bit-equal by construction.
+//! tie* the incumbent. Surviving leaves are evaluated with the scan's
+//! arithmetic — the same core-order sums of the same values as
+//! [`PowerBipsMatrices::chip_power`] /
+//! [`PowerBipsMatrices::chip_bips_with_transition`] — making the kept
+//! objective values bit-equal by construction.
 //!
 //! Degenerate inputs (non-finite or negative table entries, non-finite
 //! budget, non-positive explore interval) fall back to the literal
 //! [`exhaustive`] scan, which is also kept as the reference baseline for
 //! the equivalence tests and benchmarks.
 
+use std::cell::RefCell;
+
 use gpm_power::DvfsParams;
-use gpm_types::{CoreId, Micros, ModeCombination, ModeOdometer, PowerMode, Watts};
+use gpm_types::{Micros, ModeCombination, ModeOdometer, PowerMode, Watts};
 
 use crate::PowerBipsMatrices;
 
@@ -58,8 +62,9 @@ use crate::PowerBipsMatrices;
 /// everything that is meaningfully worse than the incumbent.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Widest chip the rank bookkeeping supports (3^80 < 2^127).
-const MAX_CORES: usize = 80;
+/// Widest chip the solver accepts: its enumeration-rank bookkeeping
+/// needs 3^N < 2^127. Wider chips go through the hierarchical policy.
+pub const MAX_CORES: usize = 80;
 
 /// Search-effort counters for one [`solve_with_stats`] call.
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,81 +107,74 @@ pub fn solve_with_stats(
     dvfs: &DvfsParams,
     explore: Micros,
 ) -> (ModeCombination, SolveStats) {
-    let n = matrices.cores();
+    let (power, bips) = matrices.rows();
+    solve_rows(power, bips, current.as_slice(), budget, dvfs, explore)
+}
+
+/// [`solve_with_stats`] over raw `[core][mode]` power and BIPS rows and
+/// the current modes — a sub-chip solve without copying its rows out.
+///
+/// # Panics
+///
+/// Panics if the rows cover more than 80 cores.
+pub(crate) fn solve_rows(
+    power: &[[f64; PowerMode::COUNT]],
+    bips: &[[f64; PowerMode::COUNT]],
+    current: &[PowerMode],
+    budget: Watts,
+    dvfs: &DvfsParams,
+    explore: Micros,
+) -> (ModeCombination, SolveStats) {
+    let n = power.len();
     assert!(n <= MAX_CORES, "solver supports at most {MAX_CORES} cores");
-    let tables = Tables::build(matrices, current, dvfs);
-    if n == 0 || current.len() != n || !tables.well_formed(budget, explore) {
-        let combo = exhaustive(matrices, current, budget, dvfs, explore);
+    // `stall_of[from][to]`: the transition stall of every mode pair. A
+    // core's stall row is its current mode's row.
+    let stall_of =
+        PowerMode::ALL.map(|from| PowerMode::ALL.map(|to| dvfs.transition_time(from, to).value()));
+    let mut present = [false; PowerMode::COUNT];
+    for mode in current {
+        present[mode.index()] = true;
+    }
+    // The preconditions the pruning bounds rely on: every table entry
+    // finite and non-negative, budget finite, explore positive.
+    let ok = |x: &f64| x.is_finite() && *x >= 0.0;
+    let well_formed = (0..PowerMode::COUNT)
+        .filter(|&from| present[from])
+        .all(|from| stall_of[from].iter().all(ok))
+        && power.iter().chain(bips).flatten().all(ok)
+        && budget.value().is_finite()
+        && explore.value().is_finite()
+        && explore.value() > 0.0;
+    if n == 0 || current.len() != n || !well_formed {
+        let matrices = PowerBipsMatrices::from_rows(power.to_vec(), bips.to_vec());
+        let current = ModeCombination::new(current.to_vec());
+        let combo = exhaustive(&matrices, &current, budget, dvfs, explore);
         return (combo, SolveStats::default());
     }
-
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        tables
-            .bips_spread(b)
-            .total_cmp(&tables.bips_spread(a))
-            .then(a.cmp(&b))
-    });
-    let mut pos = vec![0usize; n];
-    for (depth, &core) in order.iter().enumerate() {
-        pos[core] = depth;
-    }
-    let mut pow3 = vec![1u128; n];
-    for core in (0..n.saturating_sub(1)).rev() {
-        pow3[core] = pow3[core + 1] * 3;
-    }
-
-    let max_power_sum: f64 = (0..n).map(|c| tables.row_max(&tables.power, c)).sum();
-    let max_bips_sum: f64 = (0..n).map(|c| tables.row_max(&tables.bips, c)).sum();
-
-    let mut classes: Vec<f64> = tables
-        .stall
-        .iter()
-        .flat_map(|row| row.iter().copied())
-        .collect();
-    classes.sort_by(f64::total_cmp);
-    classes.dedup();
-
-    let mut search = Search {
-        matrices,
-        current,
-        dvfs,
-        budget,
-        explore,
-        budget_w: budget.value(),
-        power_slack: BOUND_SLACK * (1.0 + budget.value().abs() + max_power_sum),
-        bips_slack: BOUND_SLACK * (1.0 + max_bips_sum),
-        tables,
-        order,
-        pos,
-        pow3,
-        factor: 1.0,
-        mode_ok: vec![[false; PowerMode::COUNT]; n],
-        hits_class: vec![[false; PowerMode::COUNT]; n],
-        base_p_suffix: vec![0.0; n + 1],
-        base_b_suffix: vec![0.0; n + 1],
-        reach_suffix: vec![false; n + 1],
-        segs: Vec::with_capacity(2 * n),
-        scratch: ModeCombination::uniform(n, PowerMode::Turbo),
-        best: None,
-        stats: SolveStats::default(),
-    };
-
-    // Warm start: a cheap demote-by-ratio heuristic seeds the incumbent so
-    // the very first class already prunes against a realistic objective.
-    let warm = search.greedy_feasible();
-    search.offer(&warm);
-
-    search.stats.classes = classes.len();
-    for &stall in &classes {
-        search.run_class(stall);
-    }
-
-    let combo = search.best.map_or_else(
-        || ModeCombination::uniform(n, PowerMode::Eff2),
-        |inc| inc.combo,
-    );
-    (combo, search.stats)
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let mut search = Search::new(
+            &mut scratch,
+            power,
+            bips,
+            current,
+            stall_of,
+            budget,
+            explore,
+        );
+        search.run();
+        let combo = if search.has_best {
+            search
+                .w
+                .best
+                .iter()
+                .map(|&m| PowerMode::ALL[usize::from(m)])
+                .collect()
+        } else {
+            ModeCombination::uniform(n, PowerMode::Eff2)
+        };
+        (combo, search.stats)
+    })
 }
 
 /// The literal exhaustive scan over an in-place [`ModeOdometer`]: the
@@ -269,276 +267,507 @@ pub fn exhaustive_chunked(
     )
 }
 
-/// Mode-major decision tables: `power[mode][core]`, `bips[mode][core]` and
-/// the stall each core pays to switch from its current mode, all read out
-/// of the matrices once per decision.
-struct Tables {
-    n: usize,
-    power: [Vec<f64>; PowerMode::COUNT],
-    bips: [Vec<f64>; PowerMode::COUNT],
-    stall: [Vec<f64>; PowerMode::COUNT],
+thread_local! {
+    /// Each thread's solver working memory, reused by every solve the
+    /// thread runs (pool workers keep theirs for a whole batch of solves).
+    static SCRATCH: RefCell<SolverScratch> = RefCell::new(SolverScratch::default());
 }
 
-impl Tables {
-    fn build(matrices: &PowerBipsMatrices, current: &ModeCombination, dvfs: &DvfsParams) -> Self {
-        let n = matrices.cores();
-        let mut tables = Self {
-            n,
-            power: std::array::from_fn(|_| vec![0.0; n]),
-            bips: std::array::from_fn(|_| vec![0.0; n]),
-            stall: std::array::from_fn(|_| vec![0.0; n]),
-        };
-        let cur = current.as_slice();
-        for (core, &from) in cur.iter().enumerate().take(n) {
-            let id = CoreId::new(core);
-            for mode in PowerMode::ALL {
-                let m = mode.index();
-                tables.power[m][core] = matrices.power(id, mode).value();
-                tables.bips[m][core] = matrices.bips(id, mode).value();
-                tables.stall[m][core] = dvfs.transition_time(from, mode).value();
-            }
-        }
-        tables
-    }
+/// The frontier segments a core can contribute, as pairs of positions in
+/// its power-sorted mode list: (0,1), (1,2) and (0,2).
+const PAIRS: [(usize, usize); 3] = [(0, 1), (1, 2), (0, 2)];
 
-    /// All entries finite and non-negative, budget finite, explore positive
-    /// — the preconditions the pruning bounds rely on.
-    fn well_formed(&self, budget: Watts, explore: Micros) -> bool {
-        let ok = |x: f64| x.is_finite() && x >= 0.0;
-        budget.value().is_finite()
-            && explore.value().is_finite()
-            && explore.value() > 0.0
-            && (0..self.n).all(|c| {
-                (0..PowerMode::COUNT)
-                    .all(|m| ok(self.power[m][c]) && ok(self.bips[m][c]) && ok(self.stall[m][c]))
-            })
-    }
-
-    fn bips_spread(&self, core: usize) -> f64 {
-        let row = [self.bips[0][core], self.bips[1][core], self.bips[2][core]];
-        let hi = row[0].max(row[1]).max(row[2]);
-        let lo = row[0].min(row[1]).min(row[2]);
-        hi - lo
-    }
-
-    fn row_max(&self, table: &[Vec<f64>; PowerMode::COUNT], core: usize) -> f64 {
-        table[0][core].max(table[1][core]).max(table[2][core])
-    }
-}
-
-/// One segment of a core's concave (power, BIPS) frontier: spending
-/// `dp` extra Watts on this core buys `db` extra BIPS at `ratio = db/dp`.
-struct Seg {
-    ratio: f64,
-    core: usize,
-    dp: f64,
-    db: f64,
-}
-
-/// The incumbent best feasible assignment: exact objective, enumeration
-/// rank (for scan-identical tie-breaking) and the combination itself.
-struct Incumbent {
-    obj: f64,
-    rank: u128,
-    combo: ModeCombination,
-}
-
-struct Search<'a> {
-    matrices: &'a PowerBipsMatrices,
-    current: &'a ModeCombination,
-    dvfs: &'a DvfsParams,
-    budget: Watts,
-    explore: Micros,
-    budget_w: f64,
-    power_slack: f64,
-    bips_slack: f64,
-    tables: Tables,
+/// The working memory of one solve, kept between solves so a decision
+/// allocates nothing but its result. Every field is rebuilt by each solve;
+/// only the capacity carries over.
+#[derive(Default)]
+struct SolverScratch {
+    /// Each core's current mode index (its row of the stall table).
+    from: Vec<u8>,
+    /// Each core's modes sorted by ascending power, descending BIPS: its
+    /// whole frontier before the per-class mode filter.
+    by_power: Vec<[u8; PowerMode::COUNT]>,
+    /// `segs_of[core][pair]`: each core's [`PAIRS`] segments.
+    segs_of: Vec<[Seg; 3]>,
+    /// Every core's candidate segments as sort keys — descending ratio,
+    /// then branching depth, then pair (see [`seg_key`]) — sorted once
+    /// per solve.
+    cands: Vec<u128>,
+    /// Distinct stall values, ascending: one search class each.
+    classes: Vec<f64>,
+    /// Branching-order sort keys.
+    keys: Vec<u128>,
     /// Cores in branching order (descending BIPS spread).
     order: Vec<usize>,
     /// Inverse of `order`: depth at which each core is assigned.
     pos: Vec<usize>,
     /// Enumeration-rank weight of core `c`'s digit: 3^(n-1-c).
     pow3: Vec<u128>,
+    /// Warm-start demotion score per core (NaN: already at the floor).
+    scores: Vec<f64>,
     // --- per-class state, rebuilt by `run_class` ---
-    factor: f64,
     mode_ok: Vec<[bool; PowerMode::COUNT]>,
     hits_class: Vec<[bool; PowerMode::COUNT]>,
+    /// Which [`PAIRS`] segments each core's class frontier uses.
+    active: Vec<[bool; 3]>,
     /// Σ over unassigned cores of their cheapest allowed power.
     base_p_suffix: Vec<f64>,
     /// Σ over unassigned cores of the BIPS at that cheapest point.
     base_b_suffix: Vec<f64>,
     /// Whether any unassigned core can still realise the class stall.
     reach_suffix: Vec<bool>,
-    /// Frontier segments of all cores, sorted by descending ratio.
-    segs: Vec<Seg>,
-    scratch: ModeCombination,
-    best: Option<Incumbent>,
+    /// The class's frontier segments, in `cands` order.
+    segs: Vec<Fill>,
+    /// The assignment under construction (mode index per core).
+    modes: Vec<u8>,
+    /// The incumbent's assignment.
+    best: Vec<u8>,
+}
+
+/// Maximum of one table row.
+fn row_max(row: &[f64; PowerMode::COUNT]) -> f64 {
+    row[0].max(row[1]).max(row[2])
+}
+
+/// Whether an `n`-term power sum exceeds `budget`, given a running
+/// `estimate` of it within `guard` (see [`sum_guard`]) of the exact
+/// core-order sum: decided from the estimate when that is clear of the
+/// budget by more than the guard, otherwise from `exact()`, the O(n)
+/// re-sum. The answer is always the exact sum's.
+pub(crate) fn exceeds(estimate: f64, budget: f64, guard: f64, exact: impl FnOnce() -> f64) -> bool {
+    if estimate > budget + guard {
+        true
+    } else if estimate < budget - guard {
+        false
+    } else {
+        exact() > budget
+    }
+}
+
+/// A bound on how far a running estimate of an `n`-term power sum, kept
+/// through up to `2n` single-term replacements, can drift from the exact
+/// core-order sum, when the cores' largest |power| cells sum to `scale`.
+/// Each sum is within (n − 1)·u·scale of the real sum and each replacement
+/// adds at most about 4·u·scale, so ≈ 10·n·u·scale in all (u = ε/2); the
+/// guard is three times that. Non-finite inputs give a non-finite guard,
+/// which sends every comparison to the exact re-sum.
+pub(crate) fn sum_guard(n: usize, scale: f64) -> f64 {
+    16.0 * (n as f64 + 2.0) * f64::EPSILON * scale
+}
+
+/// Maps `x` to an integer whose unsigned order is [`f64::total_cmp`]'s.
+pub(crate) fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Clears `v` and refills it with `len` copies of `value`.
+fn reset<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// One segment of a core's concave (power, BIPS) frontier: spending
+/// `dp` extra Watts on this core buys `db` extra BIPS at `ratio = db/dp`.
+struct Seg {
+    ratio: f64,
+    dp: f64,
+    db: f64,
+}
+
+/// The sort key of segment `pair` of the core at branching `depth`:
+/// descending ratio, then depth, then pair. Decoded by [`seg_of_key`].
+fn seg_key(ratio: f64, depth: usize, pair: usize) -> u128 {
+    u128::from(!total_key(ratio)) << 64 | (depth as u128) << 8 | pair as u128
+}
+
+/// The `(depth, pair)` a [`seg_key`] encodes.
+fn seg_of_key(key: u128) -> (usize, usize) {
+    ((key >> 8) as u8 as usize, key as u8 as usize)
+}
+
+/// The part of a class segment the fractional fill reads, packed for its
+/// scan.
+struct Fill {
+    /// Branching depth of the segment's core.
+    depth: usize,
+    dp: f64,
+    db: f64,
+}
+
+struct Search<'a> {
+    w: &'a mut SolverScratch,
+    /// `power[core][mode]`, straight from the matrices.
+    power: &'a [[f64; PowerMode::COUNT]],
+    /// `bips[core][mode]`.
+    bips: &'a [[f64; PowerMode::COUNT]],
+    /// `stall_of[from][to]`.
+    stall_of: [[f64; PowerMode::COUNT]; PowerMode::COUNT],
+    n: usize,
+    budget_w: f64,
+    explore_us: f64,
+    /// Σ over cores of their largest power cell.
+    max_power_sum: f64,
+    power_slack: f64,
+    bips_slack: f64,
+    /// De-rate factor of the class being searched.
+    factor: f64,
+    /// Whether an incumbent exists (`w.best` holds its assignment).
+    has_best: bool,
+    best_obj: f64,
+    /// The incumbent's enumeration rank (scan-identical tie-breaking).
+    best_rank: u128,
     stats: SolveStats,
 }
 
-impl Search<'_> {
-    /// Demote-by-ratio warm start (the `GreedyMaxBips` heuristic): from
-    /// all-Turbo, repeatedly demote the core with the best power-saved per
-    /// BIPS-lost ratio until the budget fits or no demotion is left.
-    fn greedy_feasible(&self) -> ModeCombination {
-        let n = self.tables.n;
-        let mut combo = ModeCombination::uniform(n, PowerMode::Turbo);
-        let mut steps = 2 * n;
-        while self.matrices.chip_power(&combo) > self.budget && steps > 0 {
-            steps -= 1;
-            let mut pick: Option<(f64, usize, PowerMode)> = None;
-            for core in 0..n {
-                let cur = combo.mode(CoreId::new(core));
-                let Some(next) = cur.slower() else { continue };
-                let dp =
-                    self.tables.power[cur.index()][core] - self.tables.power[next.index()][core];
-                let db = self.tables.bips[cur.index()][core] - self.tables.bips[next.index()][core];
-                let score = if db > 0.0 { dp / db } else { f64::INFINITY };
-                if pick.as_ref().is_none_or(|&(s, _, _)| score > s) {
-                    pick = Some((score, core, next));
-                }
-            }
-            match pick {
-                Some((_, core, next)) => combo.set(CoreId::new(core), next),
-                None => break,
-            }
+impl<'a> Search<'a> {
+    /// Prepares the per-solve state in the scratch: branching order, rank
+    /// weights, power-sorted modes, candidate segments, stall classes.
+    fn new(
+        w: &'a mut SolverScratch,
+        power: &'a [[f64; PowerMode::COUNT]],
+        bips: &'a [[f64; PowerMode::COUNT]],
+        current: &[PowerMode],
+        stall_of: [[f64; PowerMode::COUNT]; PowerMode::COUNT],
+        budget: Watts,
+        explore: Micros,
+    ) -> Self {
+        let n = power.len();
+        w.from.clear();
+        w.from.extend(current.iter().map(|m| m.index() as u8));
+
+        // Descending BIPS spread, then core index, as one integer key each.
+        w.keys.clear();
+        w.keys.extend(bips.iter().enumerate().map(|(core, row)| {
+            let spread = row_max(row) - row[0].min(row[1]).min(row[2]);
+            u128::from(!total_key(spread)) << 64 | core as u128
+        }));
+        w.keys.sort_unstable();
+        w.order.clear();
+        w.order
+            .extend(w.keys.iter().map(|&key| key as u64 as usize));
+        reset(&mut w.pos, n, 0);
+        for (depth, &core) in w.order.iter().enumerate() {
+            w.pos[core] = depth;
         }
-        combo
+        reset(&mut w.pow3, n, 1);
+        for core in (0..n.saturating_sub(1)).rev() {
+            w.pow3[core] = w.pow3[core + 1] * 3;
+        }
+
+        // The (power, BIPS) sort is a total order on the points' values,
+        // so sorting each core's modes once and filtering per class gives
+        // exactly each class's sorted subset; likewise the candidate
+        // segments sorted once, filtered per class, are each class's
+        // segments in sorted order (a core's class segments have strictly
+        // falling ratios, so the order is total on them).
+        w.by_power.clear();
+        w.segs_of.clear();
+        w.cands.clear();
+        for core in 0..n {
+            let (p, b) = (&power[core], &bips[core]);
+            let mut modes = [0u8, 1, 2];
+            modes.sort_unstable_by(|&x, &y| {
+                let (x, y) = (usize::from(x), usize::from(y));
+                p[x].total_cmp(&p[y]).then(b[y].total_cmp(&b[x]))
+            });
+            w.by_power.push(modes);
+            let segs = PAIRS.map(|(lo, hi)| {
+                let (lo, hi) = (usize::from(modes[lo]), usize::from(modes[hi]));
+                let (dp, db) = (p[hi] - p[lo], b[hi] - b[lo]);
+                Seg {
+                    ratio: db / dp,
+                    dp,
+                    db,
+                }
+            });
+            for (pair, seg) in segs.iter().enumerate() {
+                w.cands.push(seg_key(seg.ratio, w.pos[core], pair));
+            }
+            w.segs_of.push(segs);
+        }
+        w.cands.sort_unstable();
+
+        let mut present = [false; PowerMode::COUNT];
+        for &from in &w.from {
+            present[usize::from(from)] = true;
+        }
+        w.classes.clear();
+        for (row, _) in stall_of.iter().zip(present).filter(|&(_, here)| here) {
+            w.classes.extend_from_slice(row);
+        }
+        w.classes.sort_unstable_by(f64::total_cmp);
+        w.classes.dedup();
+
+        let max_power_sum: f64 = power.iter().map(row_max).sum();
+        let max_bips_sum: f64 = bips.iter().map(row_max).sum();
+        reset(&mut w.mode_ok, n, [false; PowerMode::COUNT]);
+        reset(&mut w.hits_class, n, [false; PowerMode::COUNT]);
+        reset(&mut w.active, n, [false; 3]);
+        reset(&mut w.base_p_suffix, n + 1, 0.0);
+        reset(&mut w.base_b_suffix, n + 1, 0.0);
+        reset(&mut w.reach_suffix, n + 1, false);
+        reset(&mut w.modes, n, 0);
+        reset(&mut w.best, n, 0);
+        Self {
+            w,
+            power,
+            bips,
+            stall_of,
+            n,
+            budget_w: budget.value(),
+            explore_us: explore.value(),
+            max_power_sum,
+            power_slack: BOUND_SLACK * (1.0 + budget.value().abs() + max_power_sum),
+            bips_slack: BOUND_SLACK * (1.0 + max_bips_sum),
+            factor: 1.0,
+            has_best: false,
+            best_obj: 0.0,
+            best_rank: 0,
+            stats: SolveStats::default(),
+        }
     }
 
-    /// Evaluates `combo` exactly (the scan's arithmetic) and installs it as
-    /// the incumbent if it is feasible and better under the scan's
-    /// first-strict-max order.
-    fn offer(&mut self, combo: &ModeCombination) {
-        if self.matrices.chip_power(combo) > self.budget {
+    /// Warm start, then every stall class in ascending order.
+    fn run(&mut self) {
+        // Warm start: a cheap demote-by-ratio heuristic seeds the incumbent
+        // so the very first class already prunes against a realistic
+        // objective.
+        self.greedy_feasible();
+        let rank = self
+            .w
+            .modes
+            .iter()
+            .zip(&self.w.pow3)
+            .map(|(&m, &weight)| u128::from(m) * weight)
+            .sum();
+        self.offer(rank);
+
+        self.stats.classes = self.w.classes.len();
+        for class in 0..self.w.classes.len() {
+            self.run_class(self.w.classes[class]);
+        }
+    }
+
+    /// The exact chip power of `w.modes`: the same core-order sum of the
+    /// same values as [`PowerBipsMatrices::chip_power`], so bit-equal.
+    fn chip_power(&self) -> f64 {
+        self.w
+            .modes
+            .iter()
+            .zip(self.power)
+            .map(|(&m, row)| row[usize::from(m)])
+            .sum()
+    }
+
+    /// The warm-start score of demoting `core` one mode from `mode`:
+    /// power saved per BIPS lost (NaN when `mode` is the floor).
+    fn demote_score(&self, core: usize, mode: usize) -> f64 {
+        let Some(next) = PowerMode::ALL[mode].slower() else {
+            return f64::NAN;
+        };
+        let dp = self.power[core][mode] - self.power[core][next.index()];
+        let db = self.bips[core][mode] - self.bips[core][next.index()];
+        if db > 0.0 {
+            dp / db
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Demote-by-ratio warm start (the `GreedyMaxBips` heuristic), built in
+    /// `w.modes`: from all-Turbo, repeatedly demote the core with the best
+    /// power-saved per BIPS-lost ratio (first core on ties) until the
+    /// budget fits or no demotion is left. Only the demoted core's score
+    /// changes per step.
+    fn greedy_feasible(&mut self) {
+        let turbo = PowerMode::Turbo.index();
+        self.w.modes.fill(turbo as u8);
+        self.w.scores.clear();
+        for core in 0..self.n {
+            let score = self.demote_score(core, turbo);
+            self.w.scores.push(score);
+        }
+        let guard = sum_guard(self.n, self.max_power_sum);
+        let mut estimate = self.chip_power();
+        let mut steps = 2 * self.n;
+        while exceeds(estimate, self.budget_w, guard, || self.chip_power()) && steps > 0 {
+            steps -= 1;
+            let mut pick: Option<(f64, usize)> = None;
+            for (core, &score) in self.w.scores.iter().enumerate() {
+                if !score.is_nan() && pick.is_none_or(|(s, _)| score > s) {
+                    pick = Some((score, core));
+                }
+            }
+            let Some((_, core)) = pick else { break };
+            let mode = usize::from(self.w.modes[core]) + 1;
+            self.w.modes[core] = mode as u8;
+            self.w.scores[core] = self.demote_score(core, mode);
+            estimate = estimate - self.power[core][mode - 1] + self.power[core][mode];
+        }
+    }
+
+    /// Evaluates `w.modes` (enumeration rank `rank`) exactly and installs
+    /// it as the incumbent if it is feasible and better under the scan's
+    /// first-strict-max order. The arithmetic is the scan's: the same
+    /// core-order sums as [`PowerBipsMatrices::chip_power`] and
+    /// [`PowerBipsMatrices::chip_bips_with_transition`] (BIPS sum, max-fold
+    /// of the stalls, de-rate), so kept objectives are bit-equal.
+    fn offer(&mut self, rank: u128) {
+        if self.chip_power() > self.budget_w {
             return;
         }
-        let obj = self
-            .matrices
-            .chip_bips_with_transition(self.current, combo, self.dvfs, self.explore)
-            .value();
-        let rank = combo
-            .as_slice()
+        let w = &*self.w;
+        let stall = w
+            .modes
             .iter()
-            .enumerate()
-            .map(|(core, mode)| mode.index() as u128 * self.pow3[core])
+            .zip(&w.from)
+            .map(|(&m, &from)| self.stall_of[usize::from(from)][usize::from(m)])
+            .fold(0.0, f64::max);
+        let bips: f64 = w
+            .modes
+            .iter()
+            .zip(self.bips)
+            .map(|(&m, row)| row[usize::from(m)])
             .sum();
-        let better = match &self.best {
-            None => true,
-            Some(inc) => obj > inc.obj || (obj == inc.obj && rank < inc.rank),
-        };
-        if better {
-            self.best = Some(Incumbent {
-                obj,
-                rank,
-                combo: combo.clone(),
-            });
+        let obj = bips * (self.explore_us / (self.explore_us + stall));
+        if !self.has_best || obj > self.best_obj || (obj == self.best_obj && rank < self.best_rank)
+        {
+            self.has_best = true;
+            self.best_obj = obj;
+            self.best_rank = rank;
+            let w = &mut *self.w;
+            w.best.copy_from_slice(&w.modes);
         }
     }
 
     /// Searches the subspace whose chip-wide max stall is exactly `stall`.
     fn run_class(&mut self, stall: f64) {
-        let n = self.tables.n;
-        self.factor = self.explore.value() / (self.explore.value() + stall);
+        let n = self.n;
+        self.factor = self.explore_us / (self.explore_us + stall);
+        let ok_of = self.stall_of.map(|row| row.map(|s| s <= stall));
+        let hits_of = self.stall_of.map(|row| row.map(|s| s == stall));
         for core in 0..n {
-            for m in 0..PowerMode::COUNT {
-                let s = self.tables.stall[m][core];
-                self.mode_ok[core][m] = s <= stall;
-                self.hits_class[core][m] = s == stall;
+            let from = usize::from(self.w.from[core]);
+            self.w.mode_ok[core] = ok_of[from];
+            self.w.hits_class[core] = hits_of[from];
+        }
+
+        self.w.base_p_suffix[n] = 0.0;
+        self.w.base_b_suffix[n] = 0.0;
+        self.w.reach_suffix[n] = false;
+        for depth in (0..n).rev() {
+            let core = self.w.order[depth];
+            let (base_p, base_b) = self.frontier(core);
+            let w = &mut *self.w;
+            w.base_p_suffix[depth] = base_p + w.base_p_suffix[depth + 1];
+            w.base_b_suffix[depth] = base_b + w.base_b_suffix[depth + 1];
+            w.reach_suffix[depth] = w.reach_suffix[depth + 1] || w.hits_class[core].contains(&true);
+        }
+        let w = &mut *self.w;
+        w.segs.clear();
+        for &key in &w.cands {
+            let (depth, pair) = seg_of_key(key);
+            let core = w.order[depth];
+            if w.active[core][pair] {
+                let seg = &w.segs_of[core][pair];
+                w.segs.push(Fill {
+                    depth,
+                    dp: seg.dp,
+                    db: seg.db,
+                });
             }
         }
 
-        self.base_p_suffix[n] = 0.0;
-        self.base_b_suffix[n] = 0.0;
-        self.reach_suffix[n] = false;
-        self.segs.clear();
-        for depth in (0..n).rev() {
-            let core = self.order[depth];
-            let (base_p, base_b) = self.push_frontier(core);
-            self.base_p_suffix[depth] = base_p + self.base_p_suffix[depth + 1];
-            self.base_b_suffix[depth] = base_b + self.base_b_suffix[depth + 1];
-            self.reach_suffix[depth] = self.reach_suffix[depth + 1]
-                || (0..PowerMode::COUNT).any(|m| self.hits_class[core][m]);
-        }
-        let pos = &self.pos;
-        self.segs.sort_by(|a, b| {
-            b.ratio
-                .total_cmp(&a.ratio)
-                .then(pos[a.core].cmp(&pos[b.core]))
-        });
-
-        if self.base_p_suffix[0] > self.budget_w + self.power_slack || !self.reach_suffix[0] {
+        if w.base_p_suffix[0] > self.budget_w + self.power_slack || !w.reach_suffix[0] {
             return;
         }
         self.dfs(0, 0.0, 0.0, false, 0);
     }
 
-    /// Builds `core`'s dominance-filtered concave frontier over its allowed
-    /// modes, pushes its segments and returns the (min-power, BIPS-there)
-    /// base point.
-    fn push_frontier(&mut self, core: usize) -> (f64, f64) {
-        let mut pts: [(f64, f64); PowerMode::COUNT] = [(0.0, 0.0); PowerMode::COUNT];
+    /// Reduces `core`'s allowed modes to the dominance-filtered concave
+    /// frontier, marks the [`PAIRS`] segments it uses and returns the
+    /// (min-power, BIPS-there) base point.
+    fn frontier(&mut self, core: usize) -> (f64, f64) {
+        let (p, b) = (&self.power[core], &self.bips[core]);
+        let w = &mut *self.w;
+        let modes = w.by_power[core].map(usize::from);
+        // Dominance filter: keep points with strictly increasing BIPS
+        // (`kept` holds positions in the power-sorted list).
+        let mut kept = [0usize; PowerMode::COUNT];
         let mut len = 0;
-        for m in 0..PowerMode::COUNT {
-            if self.mode_ok[core][m] {
-                pts[len] = (self.tables.power[m][core], self.tables.bips[m][core]);
+        for (at, &m) in modes.iter().enumerate() {
+            if w.mode_ok[core][m] && (len == 0 || b[m] > b[modes[kept[len - 1]]]) {
+                kept[len] = at;
                 len += 1;
             }
         }
         debug_assert!(len > 0, "every class admits the zero-stall current mode");
-        pts[..len].sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
-
-        // Dominance filter: keep points with strictly increasing BIPS.
-        let mut front: [(f64, f64); PowerMode::COUNT] = [(0.0, 0.0); PowerMode::COUNT];
-        let mut flen = 0;
-        for &(p, b) in &pts[..len] {
-            if flen == 0 || b > front[flen - 1].1 {
-                front[flen] = (p, b);
-                flen += 1;
-            }
+        let pair = |lo: usize, hi: usize| PAIRS.iter().position(|&pair| pair == (lo, hi));
+        let mut active = [false; 3];
+        match len {
+            2 => active[pair(kept[0], kept[1]).expect("sorted pair")] = true,
+            // Concavity: drop the middle point when it lies on or below the
+            // chord (its left ratio does not exceed its right ratio).
+            3 if w.segs_of[core][1].ratio >= w.segs_of[core][0].ratio => active[2] = true,
+            3 => active[..2].fill(true),
+            _ => {}
         }
-        // Concavity: drop the middle point when it lies on or below the
-        // chord (its left ratio does not exceed its right ratio).
-        if flen == 3 {
-            let r1 = (front[1].1 - front[0].1) / (front[1].0 - front[0].0);
-            let r2 = (front[2].1 - front[1].1) / (front[2].0 - front[1].0);
-            if r2 >= r1 {
-                front[1] = front[2];
-                flen = 2;
-            }
-        }
-        for w in 1..flen {
-            let dp = front[w].0 - front[w - 1].0;
-            let db = front[w].1 - front[w - 1].1;
-            self.segs.push(Seg {
-                ratio: db / dp,
-                core,
-                dp,
-                db,
-            });
-        }
-        front[0]
+        w.active[core] = active;
+        let base = modes[kept[0]];
+        (p[base], b[base])
     }
 
-    /// Fractional-relaxation bonus: the most extra BIPS the cores still
-    /// unassigned at `depth` can buy with `room` Watts above their base
-    /// points, filling frontier segments best-ratio-first with the last one
-    /// taken fractionally. An upper bound on every integer completion.
-    fn frac_extra(&self, depth: usize, mut room: f64) -> f64 {
-        if room <= 0.0 {
-            return 0.0;
+    /// Fractional-relaxation bonus, for each child `m` with `rooms[m]`
+    /// set: the most extra BIPS the cores still unassigned at `depth` can
+    /// buy with that many Watts above their base points, filling frontier
+    /// segments best-ratio-first with the last one taken fractionally. An
+    /// upper bound on every integer completion. One pass over the
+    /// segments serves all children; each child's arithmetic is exactly
+    /// its own single-room fill.
+    fn frac_extra(
+        &self,
+        depth: usize,
+        rooms: [Option<f64>; PowerMode::COUNT],
+    ) -> [f64; PowerMode::COUNT] {
+        let mut extra = [0.0; PowerMode::COUNT];
+        let mut room = [0.0; PowerMode::COUNT];
+        let mut live = [false; PowerMode::COUNT];
+        let mut open = 0;
+        for m in 0..PowerMode::COUNT {
+            match rooms[m] {
+                Some(r) if r <= 0.0 => {}
+                Some(r) => {
+                    room[m] = r;
+                    live[m] = true;
+                    open += 1;
+                }
+                None => {}
+            }
         }
-        let mut extra = 0.0;
-        for seg in &self.segs {
-            if self.pos[seg.core] < depth {
+        for seg in &self.w.segs {
+            if open == 0 {
+                break;
+            }
+            if seg.depth < depth {
                 continue;
             }
-            if seg.dp <= room {
-                room -= seg.dp;
-                extra += seg.db;
-            } else {
-                extra += seg.db * (room / seg.dp);
-                break;
+            for m in 0..PowerMode::COUNT {
+                if !live[m] {
+                    continue;
+                }
+                if seg.dp <= room[m] {
+                    room[m] -= seg.dp;
+                    extra[m] += seg.db;
+                } else {
+                    extra[m] += seg.db * (room[m] / seg.dp);
+                    live[m] = false;
+                    open -= 1;
+                }
             }
         }
         extra
@@ -546,63 +775,55 @@ impl Search<'_> {
 
     fn dfs(&mut self, depth: usize, power: f64, bips: f64, hit: bool, rank: u128) {
         self.stats.nodes += 1;
-        let n = self.tables.n;
-        if depth == n {
+        if depth == self.n {
             self.stats.leaves += 1;
-            // Exact leaf evaluation through the same matrix methods (and
-            // hence the same core-order summations) as the scan. Leaves
-            // whose true max stall is below this class are duplicates of an
-            // earlier class; re-evaluating them is idempotent under the
-            // (obj, rank) order because the objective uses the *actual*
-            // stall, not the class constant.
-            if self.matrices.chip_power(&self.scratch) > self.budget {
-                return;
-            }
-            let obj = self
-                .matrices
-                .chip_bips_with_transition(self.current, &self.scratch, self.dvfs, self.explore)
-                .value();
-            let better = match &self.best {
-                None => true,
-                Some(inc) => obj > inc.obj || (obj == inc.obj && rank < inc.rank),
-            };
-            if better {
-                self.best = Some(Incumbent {
-                    obj,
-                    rank,
-                    combo: self.scratch.clone(),
-                });
-            }
+            // Exact leaf evaluation: the same core-order sums as the scan.
+            // Leaves whose true max stall is below this class are
+            // duplicates of an earlier class; re-evaluating them is
+            // idempotent under the (obj, rank) order because the objective
+            // uses the *actual* stall, not the class constant.
+            self.offer(rank);
             return;
         }
-        let core = self.order[depth];
-        for m in 0..PowerMode::COUNT {
-            if !self.mode_ok[core][m] {
+        let core = self.w.order[depth];
+        let w = &*self.w;
+        // The children that pass the feasibility and class-reach tests,
+        // with the Watts each leaves above the unassigned cores' bases.
+        let mut rooms = [None; PowerMode::COUNT];
+        for (m, room) in rooms.iter_mut().enumerate() {
+            let p2 = power + self.power[core][m];
+            let hit2 = hit || w.hits_class[core][m];
+            if w.mode_ok[core][m]
+                && p2 + w.base_p_suffix[depth + 1] <= self.budget_w + self.power_slack
+                && (hit2 || w.reach_suffix[depth + 1])
+            {
+                *room = Some(self.budget_w - p2 - w.base_p_suffix[depth + 1] + self.power_slack);
+            }
+        }
+        let mut extras = None;
+        for (m, room) in rooms.into_iter().enumerate() {
+            if room.is_none() {
                 continue;
             }
-            let p2 = power + self.tables.power[m][core];
-            let b2 = bips + self.tables.bips[m][core];
-            let hit2 = hit || self.hits_class[core][m];
-            let rank2 = rank + m as u128 * self.pow3[core];
-            if p2 + self.base_p_suffix[depth + 1] > self.budget_w + self.power_slack {
-                continue;
-            }
-            if !hit2 && !self.reach_suffix[depth + 1] {
-                continue;
-            }
-            if let Some(inc) = &self.best {
-                let (inc_obj, inc_rank) = (inc.obj, inc.rank);
-                let room = self.budget_w - p2 - self.base_p_suffix[depth + 1] + self.power_slack;
-                let ub_bips = b2 + self.base_b_suffix[depth + 1] + self.frac_extra(depth + 1, room);
+            let w = &*self.w;
+            let p2 = power + self.power[core][m];
+            let b2 = bips + self.bips[core][m];
+            let hit2 = hit || w.hits_class[core][m];
+            let rank2 = rank + m as u128 * w.pow3[core];
+            if self.has_best {
+                // The bounds do not depend on the incumbent, so the first
+                // child that needs one computes them for all.
+                let extra = extras.get_or_insert_with(|| self.frac_extra(depth + 1, rooms))[m];
+                let ub_bips = b2 + w.base_b_suffix[depth + 1] + extra;
                 let ub = ub_bips * self.factor * (1.0 + BOUND_SLACK) + self.bips_slack;
                 // `rank2` is the smallest rank in this subtree (unassigned
                 // digits are Turbo = 0), so an equal-bound subtree with a
                 // larger rank cannot supply the scan's winner either.
-                if ub < inc_obj || (ub == inc_obj && rank2 > inc_rank) {
+                if ub < self.best_obj || (ub == self.best_obj && rank2 > self.best_rank) {
                     continue;
                 }
             }
-            self.scratch.set(CoreId::new(core), PowerMode::ALL[m]);
+            self.w.modes[core] = m as u8;
             self.dfs(depth + 1, p2, b2, hit2, rank2);
         }
     }

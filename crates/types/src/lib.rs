@@ -41,7 +41,9 @@ pub use error::GpmError;
 pub use hash::{fnv1a, splitmix64};
 pub use ids::CoreId;
 pub use mode::{Enumerate, ModeCombination, ModeOdometer, PowerMode};
-pub use quant::{quantize_value, QuantizedKey, QuantizedKeyBuilder};
+pub use quant::{
+    quantize_value, BuildDigestHasher, DigestHasher, KeyView, QuantizedKey, QuantizedKeyBuilder,
+};
 pub use series::{Sample, TimeSeries};
 pub use stats::SummaryStats;
 pub use units::{Bips, Cycles, Hertz, Instructions, Joules, Micros, Seconds, Volts, Watts};

@@ -16,10 +16,16 @@
 //!   exactness for hit rate; the decision error is bounded by the solver's
 //!   sensitivity to a half-quantum perturbation of each cell.
 //!
-//! The key itself ([`QuantizedKey`]) is just the canonical word sequence —
-//! cells in a fixed row-major order, prefixed with the shape — wrapped for
-//! use as a `HashMap` key. [`QuantizedKeyBuilder`] keeps construction
-//! allocation-cheap and the canonical order explicit at the call site.
+//! The key itself ([`QuantizedKey`]) is the canonical word sequence —
+//! cells in a fixed row-major order, prefixed with the shape — plus one
+//! keyed SipHash digest of it, computed once. [`QuantizedKeyBuilder`]
+//! writes the words into a reusable buffer and keeps the canonical order
+//! explicit at the call site; [`KeyView`] probes with the buffer's words
+//! without copying them.
+
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Maps one float to its canonical key cell. Exact bit pattern when
 /// `quantum <= 0`, nearest-multiple bucket index otherwise.
@@ -51,15 +57,35 @@ pub fn quantize_value(value: f64, quantum: f64) -> u64 {
     }
 }
 
+/// The process-wide keyed SipHash state behind every key digest. One
+/// state per process (random keys drawn once), so equal word sequences
+/// digest equally in every cache and dedup index, while wire-supplied
+/// keys still cannot be steered onto chosen hash buckets.
+fn digest_state() -> &'static RandomState {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new)
+}
+
+/// The keyed SipHash digest of a canonical word sequence.
+fn digest_words(words: &[u64]) -> u64 {
+    digest_state().hash_one(words)
+}
+
 /// A canonicalized, hashable decision-cache key: the quantized cells of
-/// one decision problem in a fixed order.
+/// one decision problem in a fixed order, plus their digest.
 ///
-/// Equality and hashing are over the exact word sequence, so two keys are
-/// equal iff they were built from the same shape and the same quantized
-/// cells in the same order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+/// Equality is over the exact word sequence, so two keys are equal iff
+/// they were built from the same shape and the same quantized cells in the
+/// same order. The digest (a keyed SipHash of the words, computed once at
+/// construction) is all that [`Hash`] feeds the hasher: equal keys have
+/// equal digests everywhere in the process, and a map keyed by digest
+/// needs no hasher of its own (see [`DigestHasher`]).
+///
+/// Serialized as its words alone; the digest is recomputed on load.
+#[derive(Debug, Clone)]
 pub struct QuantizedKey {
-    words: Vec<u64>,
+    digest: u64,
+    words: Box<[u64]>,
 }
 
 impl QuantizedKey {
@@ -68,9 +94,96 @@ impl QuantizedKey {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// A borrowed view of this key.
+    #[must_use]
+    pub fn view(&self) -> KeyView<'_> {
+        KeyView {
+            digest: self.digest,
+            words: &self.words,
+        }
+    }
+}
+
+impl PartialEq for QuantizedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for QuantizedKey {}
+
+impl Hash for QuantizedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+impl serde::Serialize for QuantizedKey {
+    fn to_value(&self) -> serde::json::Value {
+        let words = self.words.iter().map(serde::Serialize::to_value).collect();
+        serde::json::Value::Object(vec![("words".to_owned(), serde::json::Value::Array(words))])
+    }
+}
+
+impl serde::Deserialize for QuantizedKey {
+    fn from_value(value: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        let words: Vec<u64> = serde::Deserialize::from_value(value.field("words")?)?;
+        Ok(KeyView::new(&words).to_key())
+    }
+}
+
+/// A digested key over borrowed words: what a probe needs, without
+/// owning a copy of the words. [`to_key`](Self::to_key) materialises it.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyView<'a> {
+    digest: u64,
+    words: &'a [u64],
+}
+
+impl<'a> KeyView<'a> {
+    /// Digests `words` (one keyed SipHash pass).
+    #[must_use]
+    pub fn new(words: &'a [u64]) -> Self {
+        Self {
+            digest: digest_words(words),
+            words,
+        }
+    }
+
+    /// The keyed SipHash digest of the words.
+    #[must_use]
+    pub fn digest(self) -> u64 {
+        self.digest
+    }
+
+    /// The canonical word sequence.
+    #[must_use]
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+
+    /// An owned key holding a copy of the words and the same digest.
+    #[must_use]
+    pub fn to_key(self) -> QuantizedKey {
+        QuantizedKey {
+            digest: self.digest,
+            words: self.words.into(),
+        }
+    }
+}
+
+impl PartialEq for KeyView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest && self.words == other.words
+    }
 }
 
 /// Builds a [`QuantizedKey`] cell by cell in canonical order.
+///
+/// A builder can be reused: [`clear`](Self::clear) keeps its buffer, so a
+/// caller keying many problems writes each one's words into the same
+/// allocation and takes a [`view`](Self::view) to probe with.
 ///
 /// # Examples
 ///
@@ -81,8 +194,10 @@ impl QuantizedKey {
 /// builder.push_word(2); // shape prefix: core count
 /// builder.push_value(17.15, 0.0);
 /// builder.push_value(1.9, 0.0);
+/// let probe = builder.view().to_key();
 /// let key = builder.finish();
 /// assert_eq!(key.words().len(), 3);
+/// assert_eq!(key, probe);
 /// ```
 #[derive(Debug, Default)]
 pub struct QuantizedKeyBuilder {
@@ -98,6 +213,11 @@ impl QuantizedKeyBuilder {
         }
     }
 
+    /// Empties the builder, keeping its buffer for the next key.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
     /// Appends a raw word (shape prefixes, mode indices, counts).
     pub fn push_word(&mut self, word: u64) {
         self.words.push(word);
@@ -108,12 +228,45 @@ impl QuantizedKeyBuilder {
         self.words.push(quantize_value(value, quantum));
     }
 
+    /// Digests the words written so far into a borrowed key.
+    #[must_use]
+    pub fn view(&self) -> KeyView<'_> {
+        KeyView::new(&self.words)
+    }
+
     /// Finalizes the key.
     #[must_use]
     pub fn finish(self) -> QuantizedKey {
-        QuantizedKey { words: self.words }
+        QuantizedKey {
+            digest: digest_words(&self.words),
+            words: self.words.into_boxed_slice(),
+        }
     }
 }
+
+/// A pass-through [`Hasher`] for maps keyed by a key digest: the digest
+/// already is a keyed SipHash, so hashing it again would only cost time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+}
+
+/// `BuildHasher` for [`DigestHasher`].
+pub type BuildDigestHasher = BuildHasherDefault<DigestHasher>;
 
 #[cfg(test)]
 mod tests {

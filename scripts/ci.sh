@@ -36,11 +36,15 @@ cargo clippy -p gpm-faults --all-targets -- -D warnings
 # The exact branch-and-bound behind MaxBIPS promises bit-identical
 # decisions to the exhaustive scan; run its equivalence group explicitly
 # under both pool widths (the chunked reference scan and the 16-way run
-# ride the worker pool) and lint the solver's crate at zero-warning
-# strictness.
-echo "==> solver: equivalence tests under two pool widths + clippy -D warnings"
+# ride the worker pool), plus the policy unit tests (solver, decision
+# cache keys, hierarchical promote pass) under a serial and a saturated
+# pool — the solver's scratch memory is per thread — and lint the
+# solver's crate at zero-warning strictness.
+echo "==> solver: equivalence + policy unit tests under two pool widths + clippy -D warnings"
 GPM_THREADS=1 cargo test --quiet --test solver_equivalence
 GPM_THREADS=2 cargo test --quiet --test solver_equivalence
+GPM_THREADS=1 cargo test --quiet -p gpm-core --lib policy::
+GPM_THREADS=8 cargo test --quiet -p gpm-core --lib policy::
 cargo clippy -p gpm-core --all-targets -- -D warnings
 
 # The SoA lane-batched kernel promises bit-identity with the scalar

@@ -17,14 +17,18 @@
 //! 3. Arbiter conservation: the water-filling global arbiter never hands
 //!    the clusters more than the chip budget (propcheck, up to f64
 //!    rounding).
+//! 4. Wide-chip decisions: a seeded 1024-core `HierMaxBips` decision
+//!    (arbiter, per-cluster exact solves, promote pass) must hash to the
+//!    value recorded before the promote pass was made O(n) per step, for
+//!    any pool width.
 
 use std::sync::Mutex;
 
 use gpm::cmp::{ClusterTopology, FullCmpOutcome, FullCmpSim, InterconnectConfig};
-use gpm::core::{cluster_budgets, PowerBipsMatrices};
+use gpm::core::{cluster_budgets, HierMaxBips, Policy, PolicyContext, PowerBipsMatrices};
 use gpm::microarch::CoreConfig;
 use gpm::power::{DvfsParams, PowerModel};
-use gpm::types::{fnv1a, Micros, ModeCombination, PowerMode, Watts};
+use gpm::types::{fnv1a, splitmix64, Micros, ModeCombination, PowerMode, Watts};
 use gpm::workloads::{combos, WorkloadCombo};
 use proptest::prelude::*;
 
@@ -149,6 +153,67 @@ fn sharded_64way_golden_hash_across_thread_counts() {
             got, SHARDED_64WAY_GOLDEN,
             "64-way sharded outcome hash {got:#018x} != golden \
              {SHARDED_64WAY_GOLDEN:#018x} under {threads} worker(s)"
+        );
+    }
+}
+
+/// A seeded `cores`-way decision problem: heterogeneous per-core Turbo
+/// (power, BIPS) with exact cubic/linear mode scaling, a mixed current
+/// assignment, and the chip's all-Turbo power.
+fn seeded_wide_problem(cores: usize, seed: u64) -> (PowerBipsMatrices, ModeCombination, f64) {
+    let mut power = Vec::with_capacity(cores);
+    let mut bips = Vec::with_capacity(cores);
+    let mut modes = Vec::with_capacity(cores);
+    let mut turbo = 0.0;
+    for core in 0..cores {
+        let r = splitmix64(seed ^ splitmix64(core as u64));
+        let p = 8.0 + (r % 1_000_003) as f64 / 1_000_003.0 * 22.0;
+        let b = 0.1 + ((r >> 21) % 1_000_003) as f64 / 1_000_003.0 * 2.9;
+        power.push(PowerMode::ALL.map(|m| p * m.power_scale()));
+        bips.push(PowerMode::ALL.map(|m| b * m.bips_scale_bound()));
+        modes.push(PowerMode::ALL[((r >> 42) % 3) as usize]);
+        turbo += p;
+    }
+    (
+        PowerBipsMatrices::from_rows(power, bips),
+        ModeCombination::new(modes),
+        turbo,
+    )
+}
+
+/// Hash of the default (8-core-cluster) `HierMaxBips` decisions for the
+/// seeded 1024-core problem at 55%, 70% and 85% of all-Turbo power,
+/// recorded with the O(n²)-per-step promote pass (a full chip-power
+/// re-sum per trial).
+const HIER_1024_GOLDEN: u64 = 0x3ac7_de68_e56d_6cce;
+
+#[test]
+fn hier_1024way_decision_golden_hash_across_thread_counts() {
+    let _guard = THREAD_OVERRIDE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (matrices, current, turbo) = seeded_wide_problem(1024, 0x5eed);
+    let dvfs = DvfsParams::paper();
+    for threads in [1usize, 2, 8] {
+        gpm::par::set_max_threads(Some(threads));
+        let mut modes = Vec::new();
+        for fraction in [0.55, 0.7, 0.85] {
+            let combo = HierMaxBips::new().decide(&PolicyContext {
+                current_modes: &current,
+                matrices: &matrices,
+                future: None,
+                budget: Watts::new(turbo * fraction),
+                dvfs: &dvfs,
+                explore: Micros::new(500.0),
+            });
+            modes.extend(combo.as_slice().iter().map(|m| m.index() as u8));
+        }
+        gpm::par::set_max_threads(None);
+        let got = fnv1a(&modes);
+        assert_eq!(
+            got, HIER_1024_GOLDEN,
+            "1024-way HierMaxBips decision hash {got:#018x} != golden \
+             {HIER_1024_GOLDEN:#018x} under {threads} worker(s)"
         );
     }
 }

@@ -2,7 +2,8 @@
 //! argmax of the paper's exhaustive 3^N scan — same combination, same
 //! first-strict-max tie-breaking — for every matrix, budget and starting
 //! assignment. The branch-and-bound is only allowed to be faster, never
-//! different.
+//! different — including when a thread's reused solver scratch last held
+//! a problem of another width.
 
 use std::sync::{Arc, Mutex};
 
@@ -10,7 +11,7 @@ use gpm::cmp::{SimParams, TraceCmpSim};
 use gpm::core::{solver, BudgetSchedule, GlobalManager, MaxBips, PowerBipsMatrices};
 use gpm::power::DvfsParams;
 use gpm::trace::{BenchmarkTraces, ModeTrace, TraceSample};
-use gpm::types::{Micros, ModeCombination, ModeOdometer, PowerMode, Watts};
+use gpm::types::{splitmix64, Micros, ModeCombination, ModeOdometer, PowerMode, Watts};
 use proptest::prelude::*;
 
 /// Serialises the tests that touch the process-wide thread override (the
@@ -88,6 +89,90 @@ proptest! {
         let budget = Watts::new(power * cores as f64 * budget_frac);
         let current = ModeCombination::uniform(cores, PowerMode::Turbo);
         assert_solver_matches_scan(&m, &current, budget);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One thread solving a random sequence of 1- to 8-way problems back
+    /// to back (and every proptest case on the same thread after it): the
+    /// per-thread solver scratch carries nothing from one solve into the
+    /// next, so every answer is the scan's.
+    #[test]
+    fn back_to_back_solves_on_one_thread_match_the_scan(
+        problems in prop::collection::vec(
+            (
+                prop::collection::vec((8.0f64..30.0, 0.1f64..3.0), 1..=8),
+                0.3f64..1.1,
+                0usize..6561,
+            ),
+            2..10,
+        ),
+    ) {
+        for (rows, budget_frac, current_seed) in problems {
+            let turbo_power: f64 = rows.iter().map(|&(p, _)| p).sum();
+            let current: ModeCombination = (0..rows.len())
+                .map(|c| PowerMode::ALL[current_seed / 3usize.pow(c as u32) % 3])
+                .collect();
+            assert_solver_matches_scan(&matrices(&rows), &current, Watts::new(turbo_power * budget_frac));
+        }
+    }
+}
+
+/// A seeded `cores`-way problem with a mixed current assignment and a
+/// budget at 75% of all-Turbo power.
+fn seeded_problem(cores: usize, seed: u64) -> (PowerBipsMatrices, ModeCombination, Watts) {
+    let draws: Vec<u64> = (0..cores as u64)
+        .map(|core| splitmix64(seed ^ splitmix64(core)))
+        .collect();
+    let rows: Vec<(f64, f64)> = draws
+        .iter()
+        .map(|&r| {
+            (
+                8.0 + (r % 1009) as f64 / 1009.0 * 22.0,
+                0.1 + ((r >> 20) % 1013) as f64 / 1013.0 * 2.9,
+            )
+        })
+        .collect();
+    let current = draws
+        .iter()
+        .map(|&r| PowerMode::ALL[(r >> 40) as usize % 3])
+        .collect();
+    let budget = Watts::new(0.75 * rows.iter().map(|&(p, _)| p).sum::<f64>());
+    (matrices(&rows), current, budget)
+}
+
+/// 16- and 32-way solves on a thread whose scratch earlier solves left at
+/// other widths equal the same solves on a fresh thread — same
+/// combination, same search effort.
+#[test]
+fn wide_solves_on_a_used_scratch_match_a_fresh_thread() {
+    let (dvfs, explore) = paper_ctx();
+    for (cores, seed) in [(32, 1), (8, 2), (16, 3), (32, 4), (3, 5)] {
+        let (m, current, budget) = seeded_problem(cores, seed);
+        let _ = solver::solve(&m, &current, budget, &dvfs, explore);
+    }
+    for cores in [16, 32] {
+        for seed in 10..14 {
+            let (m, current, budget) = seeded_problem(cores, seed);
+            let (here, here_stats) = solver::solve_with_stats(&m, &current, budget, &dvfs, explore);
+            let (fresh, fresh_stats) = std::thread::spawn(move || {
+                let (dvfs, explore) = paper_ctx();
+                solver::solve_with_stats(&m, &current, budget, &dvfs, explore)
+            })
+            .join()
+            .expect("fresh-thread solve");
+            assert_eq!(here, fresh, "{cores}-way seed {seed}");
+            assert_eq!(
+                here_stats.nodes, fresh_stats.nodes,
+                "{cores}-way seed {seed}"
+            );
+            assert_eq!(
+                here_stats.leaves, fresh_stats.leaves,
+                "{cores}-way seed {seed}"
+            );
+        }
     }
 }
 
