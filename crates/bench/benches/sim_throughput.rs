@@ -27,9 +27,7 @@ use gpm_core::{FleetConfig, FleetEngine};
 use gpm_microarch::{CoreConfig, CoreModel};
 use gpm_net::{Endpoint, LoadgenOptions, ServeOptions, Server, ShardedEngine};
 use gpm_power::{DvfsParams, PowerModel};
-use gpm_trace::{
-    capture_benchmark, BenchmarkTraces, CaptureConfig, CaptureEngine, ModeTrace, TraceSample,
-};
+use gpm_trace::{capture_benchmark, BenchmarkTraces, CaptureConfig, ModeTrace, TraceSample};
 use gpm_types::{Hertz, Micros, ModeCombination, PowerMode, Watts};
 use gpm_workloads::{combos, SpecBenchmark, WorkloadCombo};
 
@@ -87,21 +85,7 @@ fn capture_mips(bench: SpecBenchmark, limit: u64) -> Measurement {
         SpecBenchmark::Mcf => "capture_mem_bound_mcf",
         _ => "capture_other",
     };
-    capture_engine_mips(name, bench, limit, CaptureEngine::default())
-}
-
-/// `capture_mips` with an explicit stepping engine. The scalar-engine rows
-/// give the lane-batching speedup an in-process denominator: both engines
-/// run in the same binary and process, so the ratio is immune to
-/// cross-binary and cross-invocation noise.
-fn capture_engine_mips(
-    name: &'static str,
-    bench: SpecBenchmark,
-    limit: u64,
-    engine: CaptureEngine,
-) -> Measurement {
-    let mut config = CaptureConfig::fast(limit);
-    config.engine = engine;
+    let config = CaptureConfig::fast(limit);
     let _ = capture_benchmark(bench, &config).expect("warm capture");
     let start = Instant::now();
     let traces = capture_benchmark(bench, &config).expect("capture");
@@ -152,7 +136,7 @@ fn cmp_full_mips(name: &'static str, combo: &WorkloadCombo, sim_us: f64) -> Meas
 /// clusters of `cluster_cores` private L2s behind the default bounded
 /// interconnect. Pairs with the flat row at the same width so the recorded
 /// speedup isolates the sharding (per-cluster replay scans `cluster_cores`
-/// lanes instead of the whole chip even on one worker; on a multi-core
+/// cores instead of the whole chip even on one worker; on a multi-core
 /// host both phases additionally overlap per cluster).
 fn cmp_sharded_mips(
     name: &'static str,
@@ -531,18 +515,6 @@ fn main() {
         core_stream_mips(SpecBenchmark::Mcf, core_target),
         capture_mips(SpecBenchmark::Sixtrack, capture_limit),
         capture_mips(SpecBenchmark::Mcf, capture_limit),
-        capture_engine_mips(
-            "capture_scalar_sixtrack",
-            SpecBenchmark::Sixtrack,
-            capture_limit,
-            CaptureEngine::Scalar,
-        ),
-        capture_engine_mips(
-            "capture_scalar_mcf",
-            SpecBenchmark::Mcf,
-            capture_limit,
-            CaptureEngine::Scalar,
-        ),
         cmp_full_mips("cmp_full_2way_gcc_mesa", &combos::gcc_mesa(), 4.0 * cmp_us),
         cmp_full_mips(
             "cmp_full_4way_ammp_mcf_crafty_art",
@@ -608,17 +580,6 @@ fn main() {
         println!("{:<28} {:>9.2} us/decide", d.name, d.micros_per_decide);
         let _ = writeln!(json, "  \"{}_us\": {:.2},", d.name, d.micros_per_decide);
     }
-    // In-process lane-batching speedup: default (lane-batched) capture vs
-    // the scalar reference engine on the same streams in the same process.
-    for (batched, scalar) in [
-        ("capture_cpu_bound_sixtrack", "capture_scalar_sixtrack"),
-        ("capture_mem_bound_mcf", "capture_scalar_mcf"),
-    ] {
-        let ratio = by_name(batched).mips() / by_name(scalar).mips();
-        println!("lane-batched capture speedup over scalar ({batched}): {ratio:.2}x");
-        let _ = writeln!(json, "  \"{batched}_engine_speedup\": {ratio:.2},");
-    }
-
     let cached = decides
         .iter()
         .find(|d| d.name == "policy_decide_8way_cached")

@@ -1,5 +1,5 @@
 //! Isolation probe: time the full-CMP simulator with nothing else having
-//! run in the process, to separate kernel-loop cost from cross-benchmark
+//! run in the process, to separate core-stepping cost from cross-benchmark
 //! pollution in the main throughput bench. Not part of the recorded suite.
 
 use std::time::Instant;

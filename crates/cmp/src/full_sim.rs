@@ -1,10 +1,15 @@
 //! The full-CMP validation simulator: real core models sharing an L2.
+//!
+//! Each core is one [`CoreEngine`] — the scoreboard every single-core
+//! capture also runs — stepped against a recording [`DeferredL2`] and
+//! settled against the shared L2 after every quantum.
 
+use std::borrow::BorrowMut;
 use std::sync::Arc;
 
-use gpm_microarch::{CoreConfig, DeferredL2, IntervalStats, LaneBatch};
+use gpm_microarch::{CoreConfig, CoreEngine, DeferredL2, IntervalStats};
 use gpm_power::{DvfsParams, PowerModel};
-use gpm_types::{Bips, GpmError, Hertz, Micros, ModeCombination, PowerMode, Result, Watts};
+use gpm_types::{Bips, GpmError, Micros, ModeCombination, PowerMode, Result, Watts};
 use gpm_workloads::{WorkloadCombo, WorkloadStream};
 
 use crate::{ClusterTopology, Interconnect, InterconnectConfig, SharedL2, SharedL2Config};
@@ -60,16 +65,17 @@ impl FullCmpOutcome {
     }
 }
 
-/// Per-core bookkeeping that lives *outside* the lane batch: identity,
-/// clocking, the correction-credit carry of the two-phase protocol, and the
-/// run accumulators. One `LaneAccounting` per core, in core order, split
-/// across the [`LaneGroup`]s.
+/// One core of the simulated chip: its scoreboard, instruction stream and
+/// recording L2, plus the identity, correction-credit carry and run
+/// accumulators of the two-phase protocol.
 #[derive(Debug)]
-struct LaneAccounting {
+struct SimCore {
+    engine: CoreEngine,
+    stream: WorkloadStream,
+    deferred: DeferredL2,
     benchmark: Arc<str>,
     mode: PowerMode,
-    freq: Hertz,
-    /// Core cycles per synchronisation quantum at this lane's frequency;
+    /// Core cycles per synchronisation quantum at this core's frequency;
     /// recomputed when a run starts (the quantum is configurable).
     cycles_per_quantum: u64,
     /// Signed correction credit in nanoseconds: positive when the replay
@@ -80,7 +86,7 @@ struct LaneAccounting {
     /// hit + memory + worst-case queueing delay).
     charge_min_ns: f64,
     charge_max_ns: f64,
-    /// Replay scratch: total actual latency of this lane's requests this
+    /// Replay scratch: total actual latency of this core's requests this
     /// quantum.
     actual_ns: f64,
     /// Replay scratch: merge cursor into the sorted request log.
@@ -90,29 +96,70 @@ struct LaneAccounting {
     energy_j: f64,
 }
 
-impl LaneAccounting {
+impl SimCore {
+    /// Resets the run accumulators and sizes the quantum for a new run.
+    fn start_run(&mut self, quantum: Micros) {
+        self.cycles_per_quantum = self.engine.frequency().cycles_in(quantum).value();
+        self.total = IntervalStats::default();
+        self.energy_j = 0.0;
+    }
+
+    /// Phase 1: steps the core one quantum. Repays any positive correction
+    /// credit as stall cycles, runs the remainder of the quantum against
+    /// the recording L2, and sorts the request log so phase 2 can k-way
+    /// merge.
+    fn step_quantum(&mut self, power: &PowerModel) {
+        let freq = self.engine.frequency();
+        let quantum_cycles = self.cycles_per_quantum;
+        let stall = if self.pending_ns > 0.0 {
+            freq.cycles_for_ns(self.pending_ns).min(quantum_cycles)
+        } else {
+            0
+        };
+        if stall > 0 {
+            self.pending_ns -= stall as f64 * 1.0e9 / freq.value();
+            self.engine.apply_stall_cycles(stall);
+        }
+        self.deferred.reset();
+        self.actual_ns = 0.0;
+        self.cursor = 0;
+
+        let mut stats = self.engine.run_cycles_with(
+            &mut self.stream,
+            &mut self.deferred,
+            quantum_cycles - stall,
+        );
+        stats.cycles += stall;
+        let power = power.power(&stats.activity(), self.mode);
+        let secs = stats.cycles as f64 / freq.value();
+        self.energy_j += power.value() * secs;
+        self.total.merge(&stats);
+        self.deferred.sort_log();
+    }
+
     /// Settles this quantum's replay against what phase 1 charged: the
     /// signed difference joins the correction credit, and the charge
     /// predictor moves to the quantum's observed mean latency so the next
     /// recording timeline already runs at a realistic speed (preserving
     /// the core model's latency overlap instead of converting all miss
     /// latency into un-overlappable stalls).
-    fn bank_correction(&mut self, deferred: &mut DeferredL2) {
+    fn bank_correction(&mut self) {
         let requests = self.cursor;
-        let charged_ns = requests as f64 * deferred.charge_ns();
+        let charged_ns = requests as f64 * self.deferred.charge_ns();
         self.pending_ns += self.actual_ns - charged_ns;
         // A run of overcharged quanta must not accumulate unbounded credit:
         // a core can at most have been one quantum ahead of reality.
-        let quantum_ns = self.cycles_per_quantum as f64 * 1.0e9 / self.freq.value();
+        let quantum_ns = self.cycles_per_quantum as f64 * 1.0e9 / self.engine.frequency().value();
         self.pending_ns = self.pending_ns.max(-quantum_ns);
         if requests > 0 {
             let mean = self.actual_ns / requests as f64;
-            deferred.set_charge_ns(mean.clamp(self.charge_min_ns, self.charge_max_ns));
+            self.deferred
+                .set_charge_ns(mean.clamp(self.charge_min_ns, self.charge_max_ns));
         }
     }
 
     fn outcome(&self) -> PerCoreOutcome {
-        let secs = self.total.cycles as f64 / self.freq.value();
+        let secs = self.total.cycles as f64 / self.engine.frequency().value();
         PerCoreOutcome {
             benchmark: Arc::clone(&self.benchmark),
             mode: self.mode,
@@ -124,101 +171,32 @@ impl LaneAccounting {
     }
 }
 
-/// A contiguous slice of the combo's cores advanced through one
-/// [`LaneBatch`] kernel call per quantum. Phase 1 hands each group to
-/// exactly one pool worker; within the group the kernel interleaves the
-/// lanes op-by-op, so a single worker still overlaps the cores'
-/// independent dependency chains. In the flat configuration phase 2 walks
-/// all groups' lanes on a single thread; in the clustered configuration
-/// each cluster owns exactly one group and replays it against its private
-/// L2 inside the parallel phase.
-#[derive(Debug)]
-struct LaneGroup {
-    batch: LaneBatch,
-    streams: Vec<WorkloadStream>,
-    deferred: Vec<DeferredL2>,
-    acct: Vec<LaneAccounting>,
-    /// Kernel scratch, one slot per lane (cycle targets and captured
-    /// per-quantum stats), retained across quanta to avoid reallocation.
-    targets: Vec<u64>,
-    seg: Vec<IntervalStats>,
-}
-
-impl LaneGroup {
-    /// Phase 1: step every lane of the group one quantum. Per lane: repay
-    /// any positive correction credit as stall cycles, then run the
-    /// remainder of the quantum against the recording L2 — all lanes
-    /// through one `step_lanes` call — and finally sort the request logs
-    /// so phase 2 can k-way merge.
-    fn step_quantum(&mut self, power: &PowerModel) {
-        let Self {
-            batch,
-            streams,
-            deferred,
-            acct,
-            targets,
-            seg,
-        } = self;
-        for (lane, acct) in acct.iter_mut().enumerate() {
-            let quantum_cycles = acct.cycles_per_quantum;
-            let stall = if acct.pending_ns > 0.0 {
-                acct.freq.cycles_for_ns(acct.pending_ns).min(quantum_cycles)
-            } else {
-                0
-            };
-            if stall > 0 {
-                acct.pending_ns -= stall as f64 * 1.0e9 / acct.freq.value();
-                batch.apply_stall_cycles(lane, stall);
-            }
-            deferred[lane].reset();
-            acct.actual_ns = 0.0;
-            acct.cursor = 0;
-            targets[lane] = quantum_cycles - stall;
-            seg[lane] = IntervalStats::default();
-        }
-
-        batch.step_lanes(streams, deferred, targets, |lane, stats| {
-            seg[lane] = *stats;
-            None
-        });
-
-        for (lane, acct) in acct.iter_mut().enumerate() {
-            let mut stats = seg[lane];
-            stats.cycles += acct.cycles_per_quantum - targets[lane];
-            let power = power.power(&stats.activity(), acct.mode);
-            let secs = stats.cycles as f64 / acct.freq.value();
-            acct.energy_j += power.value() * secs;
-            acct.total.merge(&stats);
-            deferred[lane].sort_log();
-        }
-    }
-}
-
-/// Phase 2: merge-replay all lanes' sorted request logs against the real
+/// Phase 2: merge-replay all cores' sorted request logs against the real
 /// shared L2 in global `(timestamp, core-id)` order. Returns the number of
 /// L2 misses the replay produced.
 ///
 /// The deterministic tie-break — strictly-smaller timestamp wins, equal
 /// timestamps go to the lower core id — makes the replay order (and hence
 /// the shared tag-array state, queue accounting and per-core corrections)
-/// independent of how phase 1 was scheduled *and* of how the cores were
-/// grouped into lane batches. Each lane accumulates the actual latency of
-/// its requests (queueing delay, and memory latency when the shared array
-/// misses); [`LaneAccounting::bank_correction`] settles that against what
-/// phase 1 charged. Misses are credited back to the owning core's counters
-/// and additionally charged `miss_extra_ns` — the inter-cluster
-/// interconnect penalty in a clustered configuration, `0.0` (exact, by
-/// IEEE 754 identity) for the flat path. `lanes` must be in core order.
-fn replay_quantum(
-    lanes: &mut [(&mut DeferredL2, &mut LaneAccounting)],
+/// independent of how phase 1 was scheduled. Each core accumulates the
+/// actual latency of its requests (queueing delay, and memory latency when
+/// the shared array misses); [`SimCore::bank_correction`] settles that
+/// against what phase 1 charged. Misses are credited back to the owning
+/// core's counters and additionally charged `miss_extra_ns` — the
+/// inter-cluster interconnect penalty in a clustered configuration, `0.0`
+/// (exact, by IEEE 754 identity) for the flat path. `cores` must be in
+/// core order.
+fn replay_quantum<C: BorrowMut<SimCore>>(
+    cores: &mut [C],
     shared: &mut SharedL2,
     miss_extra_ns: f64,
 ) -> u64 {
     let mut misses = 0u64;
     loop {
         let mut best: Option<(usize, f64)> = None;
-        for (i, (deferred, acct)) in lanes.iter().enumerate() {
-            if let Some(req) = deferred.log().get(acct.cursor) {
+        for (i, core) in cores.iter().enumerate() {
+            let core = core.borrow();
+            if let Some(req) = core.deferred.log().get(core.cursor) {
                 let earlier = best.is_none_or(|(_, t)| req.now_ns < t);
                 if earlier {
                     best = Some((i, req.now_ns));
@@ -226,31 +204,31 @@ fn replay_quantum(
             }
         }
         let Some((i, _)) = best else { break };
-        let (deferred, acct) = &mut lanes[i];
-        let req = deferred.log()[acct.cursor];
-        acct.cursor += 1;
+        let core = cores[i].borrow_mut();
+        let req = core.deferred.log()[core.cursor];
+        core.cursor += 1;
         let (mut actual_ns, hit) = shared.replay_access(req.addr);
         if !hit {
             actual_ns += miss_extra_ns;
             misses += 1;
-            acct.total.l2_misses += 1;
+            core.total.l2_misses += 1;
         }
-        acct.actual_ns += actual_ns;
+        core.actual_ns += actual_ns;
     }
-    for (deferred, acct) in lanes {
-        acct.bank_correction(deferred);
+    for core in cores {
+        core.borrow_mut().bank_correction();
     }
     misses
 }
 
-/// One cluster of the sharded drive: a [`LaneGroup`] over the cluster's
-/// cores plus the cluster's private L2. Both phases of the two-phase
-/// protocol run inside the parallel round callback — the interconnect is
-/// read-only during a quantum (its penalty is frozen in `icn_penalty_ns`
-/// at each window boundary), so nothing a cluster touches is shared.
+/// One cluster of the sharded drive: the cluster's cores plus its private
+/// L2. Both phases of the two-phase protocol run inside the parallel round
+/// callback — the interconnect is read-only during a quantum (its penalty
+/// is frozen in `icn_penalty_ns` at each window boundary), so nothing a
+/// cluster touches is shared.
 #[derive(Debug)]
-struct ClusterLanes {
-    group: LaneGroup,
+struct Cluster {
+    cores: Vec<SimCore>,
     l2: SharedL2,
     /// Per-miss interconnect penalty for the current window, broadcast by
     /// the serial phase after it closes the interconnect window.
@@ -260,42 +238,31 @@ struct ClusterLanes {
     quantum_misses: u64,
 }
 
-impl ClusterLanes {
-    /// Steps the cluster one quantum: phase-1 lane stepping, then the
+impl Cluster {
+    /// Steps the cluster one quantum: phase-1 core stepping, then the
     /// per-cluster phase-2 replay against the private L2, then the L2
     /// window close. All of it runs on this cluster's pool worker.
     fn run_quantum(&mut self, power: &PowerModel, window_ns: f64) {
-        self.group.step_quantum(power);
-        let mut lanes: Vec<(&mut DeferredL2, &mut LaneAccounting)> = self
-            .group
-            .deferred
-            .iter_mut()
-            .zip(self.group.acct.iter_mut())
-            .collect();
-        self.quantum_misses = replay_quantum(&mut lanes, &mut self.l2, self.icn_penalty_ns);
+        for core in &mut self.cores {
+            core.step_quantum(power);
+        }
+        self.quantum_misses = replay_quantum(&mut self.cores, &mut self.l2, self.icn_penalty_ns);
         self.l2.end_window(window_ns);
     }
 }
 
-/// Per-core construction state shared by the flat and clustered builders.
-struct CoreSetup {
-    streams: Vec<WorkloadStream>,
-    freqs: Vec<Hertz>,
-    accts: Vec<LaneAccounting>,
-    shared_config: SharedL2Config,
-}
-
-/// Builds the streams, clocks and accounting rows for every core.
-/// `miss_extra_max_ns` widens the charge predictor's upper bound by the
-/// worst interconnect penalty a miss can pay; the flat path passes `0.0`,
-/// keeping its bound bit-identical to the pre-cluster arithmetic.
+/// Builds every core of the combo, in core order, plus the shared-L2
+/// configuration they record against. `miss_extra_max_ns` widens the
+/// charge predictor's upper bound by the worst interconnect penalty a miss
+/// can pay; the flat path passes `0.0`, keeping its bound bit-identical to
+/// the pre-cluster arithmetic.
 fn build_cores(
     combo: &WorkloadCombo,
     modes: &ModeCombination,
     core_config: &CoreConfig,
     dvfs: &DvfsParams,
     miss_extra_max_ns: f64,
-) -> Result<CoreSetup> {
+) -> Result<(Vec<SimCore>, SharedL2Config)> {
     if modes.len() != combo.cores() {
         return Err(GpmError::CoreCountMismatch {
             expected: combo.cores(),
@@ -309,25 +276,19 @@ fn build_cores(
         memory_latency_ns: core_config.memory.memory_latency_ns,
         ..SharedL2Config::default()
     };
-    let cores = combo.cores();
-    let mut streams = Vec::with_capacity(cores);
-    let mut freqs = Vec::with_capacity(cores);
-    let mut accts = Vec::with_capacity(cores);
+    let mut cores = Vec::with_capacity(combo.cores());
     for (i, &bench) in combo.benchmarks().iter().enumerate() {
         let mode = modes.mode(gpm_types::CoreId::new(i));
-        let freq = dvfs.frequency(mode);
-        // Distinct address bases and seed salts: four mcf instances
-        // must not literally share data.
-        streams.push(
-            bench
+        cores.push(SimCore {
+            engine: CoreEngine::new(core_config, dvfs.frequency(mode))?,
+            // Distinct address bases and seed salts: four mcf instances
+            // must not literally share data.
+            stream: bench
                 .profile()
                 .stream_with(i as u64 * CORE_ADDR_STRIDE, i as u64)?,
-        );
-        freqs.push(freq);
-        accts.push(LaneAccounting {
+            deferred: DeferredL2::new(shared_config.l2_latency_ns),
             benchmark: Arc::from(bench.name()),
             mode,
-            freq,
             cycles_per_quantum: 0,
             pending_ns: 0.0,
             charge_min_ns: shared_config.l2_latency_ns,
@@ -344,40 +305,7 @@ fn build_cores(
             energy_j: 0.0,
         });
     }
-    Ok(CoreSetup {
-        streams,
-        freqs,
-        accts,
-        shared_config,
-    })
-}
-
-/// Builds one lane group over a contiguous run of cores.
-fn build_group(
-    core_config: &CoreConfig,
-    shared_config: &SharedL2Config,
-    streams: Vec<WorkloadStream>,
-    accts: Vec<LaneAccounting>,
-    freqs: &[Hertz],
-) -> Result<LaneGroup> {
-    let len = freqs.len();
-    let mut batch = LaneBatch::new(core_config, freqs)?;
-    // Each core replays its own generator — no shared tape to stay
-    // close on — so round-robin interleaving buys nothing and only
-    // cycles N lanes' simulated state through the host cache. Run
-    // each lane straight through its quantum instead (chunk size
-    // never affects simulated results).
-    batch.set_chunk_ops(usize::MAX);
-    Ok(LaneGroup {
-        batch,
-        streams,
-        deferred: (0..len)
-            .map(|_| DeferredL2::new(shared_config.l2_latency_ns))
-            .collect(),
-        acct: accts,
-        targets: vec![0; len],
-        seg: vec![IntervalStats::default(); len],
-    })
+    Ok((cores, shared_config))
 }
 
 /// The two drive shapes of the simulator: the flat single-shared-L2
@@ -386,11 +314,11 @@ fn build_group(
 #[derive(Debug)]
 enum Drive {
     Flat {
-        groups: Vec<LaneGroup>,
+        cores: Vec<SimCore>,
         shared: SharedL2,
     },
     Sharded {
-        clusters: Vec<ClusterLanes>,
+        clusters: Vec<Cluster>,
         interconnect: Interconnect,
     },
 }
@@ -399,26 +327,22 @@ enum Drive {
 /// `gpm-microarch` core models and one or more [`SharedL2`]s.
 ///
 /// Cores advance in short wall-clock quanta (5 µs by default) under a
-/// two-phase protocol. **Phase 1** steps every core for one quantum: the
-/// cores are partitioned into contiguous [`LaneGroup`]s — one per worker
-/// the `gpm_par` pool can supply — and each group advances all its lanes
-/// through a single [`LaneBatch::step_lanes`] kernel call, so parallelism
-/// comes from the pool *across* groups and from op-interleaved lane
-/// batching *within* a group (a single-threaded host still overlaps the
-/// cores' independent dependency chains). L1 hits resolve locally, and
-/// every would-be L2 request is recorded into the core's [`DeferredL2`]
-/// log at the lane's *predicted* per-access latency — the array-hit
-/// latency initially, then the previous quantum's observed mean, so
-/// dependent-load serialisation and ROB latency overlap play out in the
-/// recording timeline itself. **Phase 2** merge-replays the logs against
-/// the real [`SharedL2`] in `(timestamp, core-id)` order; the signed
-/// difference between what the requests actually cost — bus queueing
-/// delay, memory latency on a shared-array miss — and what phase 1 charged
-/// is banked as a correction credit, repaid as stall cycles at the start
-/// of that core's next quantum (or offset against future debt when
-/// negative). Per-core DVFS is supported by clocking each lane at its
-/// mode's frequency — the quantum is measured in wall time, so cores stay
-/// aligned across clock domains.
+/// two-phase protocol. **Phase 1** steps every core for one quantum: each
+/// core is a [`CoreEngine`] — the same scoreboard the single-core captures
+/// run — and the cores are spread over the `gpm_par` pool, core `i` on
+/// worker `i % threads`. L1 hits resolve locally, and every would-be L2
+/// request is recorded into the core's [`DeferredL2`] log at the core's
+/// *predicted* per-access latency — the array-hit latency initially, then
+/// the previous quantum's observed mean, so dependent-load serialisation
+/// and ROB latency overlap play out in the recording timeline itself.
+/// **Phase 2** merge-replays the logs against the real [`SharedL2`] in
+/// `(timestamp, core-id)` order; the signed difference between what the
+/// requests actually cost — bus queueing delay, memory latency on a
+/// shared-array miss — and what phase 1 charged is banked as a correction
+/// credit, repaid as stall cycles at the start of that core's next quantum
+/// (or offset against future debt when negative). Per-core DVFS is
+/// supported by clocking each core at its mode's frequency — the quantum
+/// is measured in wall time, so cores stay aligned across clock domains.
 ///
 /// Two drive shapes exist:
 ///
@@ -434,12 +358,10 @@ enum Drive {
 ///   interconnect this is bit-identical to the flat drive.
 ///
 /// Results are bit-identical for every `GPM_THREADS` value (including the
-/// pool-free serial path) and for every grouping: lanes share no mutable
-/// state, the lane kernel steps each lane through the exact scalar
-/// scoreboard logic, phase 2's replay order is fully determined by the
-/// logs, and the interconnect merge sums unsigned counters. The golden
-/// hashes in `tests/cmp_equivalence.rs` and `tests/hier_equivalence.rs`
-/// pin this.
+/// pool-free serial path): cores share no mutable state in phase 1, phase
+/// 2's replay order is fully determined by the logs, and the interconnect
+/// merge sums unsigned counters. The golden hashes in
+/// `tests/cmp_equivalence.rs` and `tests/hier_equivalence.rs` pin this.
 ///
 /// This is the validation counterpart of
 /// [`TraceCmpSim`](crate::TraceCmpSim), mirroring the paper's full-CMP
@@ -466,39 +388,10 @@ impl FullCmpSim {
         power: PowerModel,
         dvfs: DvfsParams,
     ) -> Result<Self> {
-        let CoreSetup {
-            mut streams,
-            freqs,
-            mut accts,
-            shared_config,
-        } = build_cores(combo, modes, core_config, &dvfs, 0.0)?;
-        let cores = freqs.len();
-
-        // One group per worker the pool can supply, contiguous and
-        // near-equal: with a full pool each group is a single lane (pure
-        // thread parallelism, as before); with fewer workers than cores the
-        // kernel's op interleaving recovers the lost overlap. Grouping
-        // affects scheduling only, never the simulated bytes.
-        let group_count = gpm_par::max_threads().min(cores).max(1);
-        let base = cores / group_count;
-        let extra = cores % group_count;
-        let mut groups = Vec::with_capacity(group_count);
-        let mut next = 0usize;
-        for g in 0..group_count {
-            let len = base + usize::from(g < extra);
-            groups.push(build_group(
-                core_config,
-                &shared_config,
-                streams.drain(..len).collect(),
-                accts.drain(..len).collect(),
-                &freqs[next..next + len],
-            )?);
-            next += len;
-        }
-
+        let (cores, shared_config) = build_cores(combo, modes, core_config, &dvfs, 0.0)?;
         Ok(Self {
             drive: Drive::Flat {
-                groups,
+                cores,
                 shared: SharedL2::new(shared_config)?,
             },
             power,
@@ -509,8 +402,8 @@ impl FullCmpSim {
     /// Builds a cluster-sharded full-CMP simulation: `topology` partitions
     /// the combo's cores into clusters, each with a private L2 of the
     /// configured geometry, joined by an [`Interconnect`] with
-    /// `interconnect` timing. One [`LaneGroup`] per cluster maps onto the
-    /// `gpm_par` pool.
+    /// `interconnect` timing. Each cluster, its cores and its L2, maps onto
+    /// one `gpm_par` pool worker.
     ///
     /// A single-cluster topology with [`InterconnectConfig::zero`] is
     /// bit-identical to [`FullCmpSim::new`] — useful for pinning the
@@ -541,26 +434,15 @@ impl FullCmpSim {
         // charge bound bit-identical to the flat path's.
         let miss_extra_max_ns =
             interconnect.hop_latency_ns + interconnect.service_ns * 0.98 / (2.0 * (1.0 - 0.98));
-        let CoreSetup {
-            mut streams,
-            freqs,
-            mut accts,
-            shared_config,
-        } = build_cores(combo, modes, core_config, &dvfs, miss_extra_max_ns)?;
+        let (mut cores, shared_config) =
+            build_cores(combo, modes, core_config, &dvfs, miss_extra_max_ns)?;
 
         let interconnect = Interconnect::new(interconnect)?;
         let per = topology.cores_per_cluster();
         let mut clusters = Vec::with_capacity(topology.clusters());
-        for k in 0..topology.clusters() {
-            let range = topology.core_range(k);
-            clusters.push(ClusterLanes {
-                group: build_group(
-                    core_config,
-                    &shared_config,
-                    streams.drain(..per).collect(),
-                    accts.drain(..per).collect(),
-                    &freqs[range],
-                )?,
+        for _ in 0..topology.clusters() {
+            clusters.push(Cluster {
+                cores: cores.drain(..per).collect(),
                 l2: SharedL2::new(shared_config)?,
                 icn_penalty_ns: interconnect.penalty_ns(),
                 quantum_misses: 0,
@@ -610,28 +492,18 @@ impl FullCmpSim {
         let window_ns = self.quantum.value() * 1.0e3;
         let power = &self.power;
         match &mut self.drive {
-            Drive::Flat { groups, shared } => {
-                for acct in groups.iter_mut().flat_map(|g| g.acct.iter_mut()) {
-                    acct.cycles_per_quantum = acct.freq.cycles_in(self.quantum).value();
-                    acct.total = IntervalStats::default();
-                    acct.energy_j = 0.0;
+            Drive::Flat { cores, shared } => {
+                for core in cores.iter_mut() {
+                    core.start_run(self.quantum);
                 }
 
                 if quanta > 0 {
                     let mut round = 0usize;
                     gpm_par::run_rounds(
-                        groups,
-                        |_, group| group.step_quantum(power),
+                        cores,
+                        |_, core| core.step_quantum(power),
                         |view| {
-                            view.with_all(|groups| {
-                                // Contiguous groups flattened in order = core order,
-                                // which the replay tie-break depends on.
-                                let mut lanes: Vec<(&mut DeferredL2, &mut LaneAccounting)> = groups
-                                    .iter_mut()
-                                    .flat_map(|g| g.deferred.iter_mut().zip(g.acct.iter_mut()))
-                                    .collect();
-                                replay_quantum(&mut lanes, shared, 0.0);
-                            });
+                            view.with_all(|cores| replay_quantum(cores, shared, 0.0));
                             shared.end_window(window_ns);
                             round += 1;
                             round < quanta
@@ -640,10 +512,7 @@ impl FullCmpSim {
                 }
 
                 FullCmpOutcome {
-                    per_core: groups
-                        .iter()
-                        .flat_map(|g| g.acct.iter().map(LaneAccounting::outcome))
-                        .collect(),
+                    per_core: cores.iter().map(SimCore::outcome).collect(),
                     duration,
                     l2_utilization: shared.average_utilization(),
                     interconnect_utilization: 0.0,
@@ -654,10 +523,8 @@ impl FullCmpSim {
                 interconnect,
             } => {
                 for cluster in clusters.iter_mut() {
-                    for acct in cluster.group.acct.iter_mut() {
-                        acct.cycles_per_quantum = acct.freq.cycles_in(self.quantum).value();
-                        acct.total = IntervalStats::default();
-                        acct.energy_j = 0.0;
+                    for core in cluster.cores.iter_mut() {
+                        core.start_run(self.quantum);
                     }
                     cluster.icn_penalty_ns = interconnect.penalty_ns();
                     cluster.quantum_misses = 0;
@@ -694,7 +561,7 @@ impl FullCmpSim {
                 FullCmpOutcome {
                     per_core: clusters
                         .iter()
-                        .flat_map(|c| c.group.acct.iter().map(LaneAccounting::outcome))
+                        .flat_map(|c| c.cores.iter().map(SimCore::outcome))
                         .collect(),
                     duration,
                     l2_utilization: clusters

@@ -98,132 +98,6 @@ pub struct BranchPredictor {
     mispredictions: u64,
 }
 
-/// A mutable window onto one predictor instance's tables and counters.
-///
-/// This is *the* implementation of the combining-predictor update:
-/// [`BranchPredictor`] (one core, its own tables) and [`PredictorLanes`]
-/// (N lanes sharing flat lane-major tables) both dispatch through it, so
-/// the scalar reference path and the SoA lane-batched path cannot diverge.
-#[derive(Debug)]
-pub(crate) struct PredictorLaneView<'a> {
-    bimodal: &'a mut [u8],
-    gshare: &'a mut [u8],
-    selector: &'a mut [u8],
-    bi_mask: usize,
-    gs_mask: usize,
-    sel_mask: usize,
-    history: &'a mut u64,
-    predictions: &'a mut u64,
-    mispredictions: &'a mut u64,
-}
-
-impl PredictorLaneView<'_> {
-    /// Predicts branch at `pc`, then updates all tables with the actual
-    /// `taken` outcome. Returns `true` if the branch was **mispredicted**.
-    #[inline]
-    pub(crate) fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        let bi_idx = (pc as usize) & self.bi_mask;
-        let gs_idx = ((pc ^ *self.history) as usize) & self.gs_mask;
-        let sel_idx = (pc as usize) & self.sel_mask;
-
-        let bi_pred = counter_predict(self.bimodal[bi_idx]);
-        let gs_pred = counter_predict(self.gshare[gs_idx]);
-        // Selector ≥ 2 → trust gshare.
-        let prediction = if counter_predict(self.selector[sel_idx]) {
-            gs_pred
-        } else {
-            bi_pred
-        };
-
-        // Train the selector only when the components disagree.
-        if bi_pred != gs_pred {
-            counter_update(&mut self.selector[sel_idx], gs_pred == taken);
-        }
-        counter_update(&mut self.bimodal[bi_idx], taken);
-        counter_update(&mut self.gshare[gs_idx], taken);
-        *self.history = (*self.history << 1) | u64::from(taken);
-
-        *self.predictions += 1;
-        let mispredicted = prediction != taken;
-        if mispredicted {
-            *self.mispredictions += 1;
-        }
-        mispredicted
-    }
-}
-
-/// N independent combining predictors, stored as flat structure-of-arrays:
-/// all lanes' bimodal/gshare/selector tables live in lane-major
-/// allocations, with per-lane history and counters alongside.
-///
-/// Lanes never share counters or history — [`lane_view`](Self::lane_view)
-/// windows one lane and runs the exact [`PredictorLaneView`] logic the
-/// scalar [`BranchPredictor`] runs, so a lane is bit-identical to a
-/// standalone predictor seeing the same branch sequence.
-#[derive(Debug, Clone)]
-pub(crate) struct PredictorLanes {
-    bimodal: Vec<u8>,
-    gshare: Vec<u8>,
-    selector: Vec<u8>,
-    bi_entries: usize,
-    gs_entries: usize,
-    sel_entries: usize,
-    bi_mask: usize,
-    gs_mask: usize,
-    sel_mask: usize,
-    history: Vec<u64>,
-    predictions: Vec<u64>,
-    mispredictions: Vec<u64>,
-}
-
-impl PredictorLanes {
-    /// Builds `lanes` predictors with the given table sizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`gpm_types::GpmError::InvalidConfig`] if the sizes fail
-    /// [`PredictorConfig::validate`].
-    pub(crate) fn new(config: PredictorConfig, lanes: usize) -> gpm_types::Result<Self> {
-        config
-            .validate()
-            .map_err(|reason| gpm_types::GpmError::InvalidConfig {
-                parameter: "predictor",
-                reason,
-            })?;
-        Ok(Self {
-            // Initialise to weakly-taken so cold branches behave neutrally.
-            bimodal: vec![2; config.bimodal_entries * lanes],
-            gshare: vec![2; config.gshare_entries * lanes],
-            selector: vec![2; config.selector_entries * lanes],
-            bi_entries: config.bimodal_entries,
-            gs_entries: config.gshare_entries,
-            sel_entries: config.selector_entries,
-            bi_mask: config.bimodal_entries - 1,
-            gs_mask: config.gshare_entries - 1,
-            sel_mask: config.selector_entries - 1,
-            history: vec![0; lanes],
-            predictions: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-        })
-    }
-
-    /// A mutable window onto lane `lane`'s tables and counters.
-    #[inline]
-    pub(crate) fn lane_view(&mut self, lane: usize) -> PredictorLaneView<'_> {
-        PredictorLaneView {
-            bimodal: &mut self.bimodal[lane * self.bi_entries..(lane + 1) * self.bi_entries],
-            gshare: &mut self.gshare[lane * self.gs_entries..(lane + 1) * self.gs_entries],
-            selector: &mut self.selector[lane * self.sel_entries..(lane + 1) * self.sel_entries],
-            bi_mask: self.bi_mask,
-            gs_mask: self.gs_mask,
-            sel_mask: self.sel_mask,
-            history: &mut self.history[lane],
-            predictions: &mut self.predictions[lane],
-            mispredictions: &mut self.mispredictions[lane],
-        }
-    }
-}
-
 impl BranchPredictor {
     /// Builds a predictor with the given table sizes.
     ///
@@ -251,29 +125,37 @@ impl BranchPredictor {
         }
     }
 
-    /// A mutable window onto this predictor's tables and counters — the
-    /// shared implementation behind both the scalar and the lane-batched
-    /// update paths.
-    #[inline]
-    pub(crate) fn view(&mut self) -> PredictorLaneView<'_> {
-        PredictorLaneView {
-            bimodal: &mut self.bimodal,
-            gshare: &mut self.gshare,
-            selector: &mut self.selector,
-            bi_mask: self.bi_mask,
-            gs_mask: self.gs_mask,
-            sel_mask: self.sel_mask,
-            history: &mut self.history,
-            predictions: &mut self.predictions,
-            mispredictions: &mut self.mispredictions,
-        }
-    }
-
     /// Predicts branch at `pc`, then updates all tables with the actual
     /// `taken` outcome. Returns `true` if the branch was **mispredicted**.
     #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        self.view().predict_and_update(pc, taken)
+        let bi_idx = (pc as usize) & self.bi_mask;
+        let gs_idx = ((pc ^ self.history) as usize) & self.gs_mask;
+        let sel_idx = (pc as usize) & self.sel_mask;
+
+        let bi_pred = counter_predict(self.bimodal[bi_idx]);
+        let gs_pred = counter_predict(self.gshare[gs_idx]);
+        // Selector ≥ 2 → trust gshare.
+        let prediction = if counter_predict(self.selector[sel_idx]) {
+            gs_pred
+        } else {
+            bi_pred
+        };
+
+        // Train the selector only when the components disagree.
+        if bi_pred != gs_pred {
+            counter_update(&mut self.selector[sel_idx], gs_pred == taken);
+        }
+        counter_update(&mut self.bimodal[bi_idx], taken);
+        counter_update(&mut self.gshare[gs_idx], taken);
+        self.history = (self.history << 1) | u64::from(taken);
+
+        self.predictions += 1;
+        let mispredicted = prediction != taken;
+        if mispredicted {
+            self.mispredictions += 1;
+        }
+        mispredicted
     }
 
     /// Total predictions made.
@@ -404,34 +286,6 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         assert!(PredictorConfig::default().validate().is_ok());
-        assert!(PredictorLanes::new(bad, 2).is_err());
-    }
-
-    #[test]
-    fn lanes_match_independent_scalar_predictors() {
-        // Small tables so lanes alias internally but never across lanes.
-        let config = PredictorConfig {
-            bimodal_entries: 64,
-            gshare_entries: 64,
-            selector_entries: 64,
-        };
-        let mut lanes = PredictorLanes::new(config, 3).unwrap();
-        let mut scalars: Vec<_> = (0..3).map(|_| BranchPredictor::new(config)).collect();
-        let mut x = 5u64;
-        for i in 0..10_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let lane = (i % 3) as usize;
-            let pc = x % 512;
-            let taken = (x >> 9) & 1 == 1;
-            assert_eq!(
-                lanes.lane_view(lane).predict_and_update(pc, taken),
-                scalars[lane].predict_and_update(pc, taken)
-            );
-        }
-        for (lane, scalar) in scalars.iter().enumerate() {
-            assert_eq!(lanes.predictions[lane], scalar.predictions());
-            assert_eq!(lanes.mispredictions[lane], scalar.mispredictions());
-        }
     }
 
     #[test]

@@ -90,154 +90,6 @@ struct Line {
     stamp: u64,
 }
 
-/// A mutable window onto one cache instance's tag array and counters.
-///
-/// This is *the* implementation of the probe/fill/LRU logic:
-/// [`SetAssocCache`] (one core, its own allocation) and [`CacheLanes`]
-/// (N lanes sharing one flat allocation) both dispatch through it, so the
-/// scalar reference path and the SoA lane-batched path cannot diverge.
-#[derive(Debug)]
-pub(crate) struct CacheLaneView<'a> {
-    lines: &'a mut [Line],
-    next_stamp: &'a mut u64,
-    accesses: &'a mut u64,
-    misses: &'a mut u64,
-    ways: usize,
-    set_mask: u64,
-    block_shift: u32,
-    tag_shift: u32,
-}
-
-impl CacheLaneView<'_> {
-    /// Accesses byte address `addr`, allocating the line on a miss.
-    ///
-    /// A single pass over the (2–4 entry) set serves both the hit fast path
-    /// and LRU victim selection: the scan returns as soon as the tag
-    /// matches, and otherwise has already found the first minimum-stamp way
-    /// (invalid ways carry stamp 0, so they win automatically — the same
-    /// ordering `min_by_key` on `valid → stamp, invalid → 0` produced).
-    #[inline]
-    pub(crate) fn access(&mut self, addr: u64) -> AccessOutcome {
-        *self.accesses += 1;
-        *self.next_stamp += 1;
-        let stamp = *self.next_stamp;
-        let block = addr >> self.block_shift;
-        let set = (block & self.set_mask) as usize;
-        let tag = block >> self.tag_shift;
-        let base = set * self.ways;
-        let set_lines = &mut self.lines[base..base + self.ways];
-
-        let mut victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for (i, line) in set_lines.iter_mut().enumerate() {
-            if line.tag == tag && line.stamp != 0 {
-                line.stamp = stamp;
-                return AccessOutcome::Hit;
-            }
-            if line.stamp < victim_stamp {
-                victim_stamp = line.stamp;
-                victim = i;
-            }
-        }
-
-        *self.misses += 1;
-        set_lines[victim] = Line { tag, stamp };
-        AccessOutcome::Miss
-    }
-
-    /// Installs the line for `addr` without counting a demand access or a
-    /// demand miss (hardware-prefetch fills). Returns whether the line was
-    /// already resident.
-    pub(crate) fn install(&mut self, addr: u64) -> AccessOutcome {
-        let before = (*self.accesses, *self.misses);
-        let outcome = self.access(addr);
-        (*self.accesses, *self.misses) = before;
-        outcome
-    }
-
-    /// Probes whether `addr` is resident without touching LRU state or
-    /// counters.
-    #[must_use]
-    #[inline]
-    pub(crate) fn contains(&self, addr: u64) -> bool {
-        let block = addr >> self.block_shift;
-        let set = (block & self.set_mask) as usize;
-        let tag = block >> self.tag_shift;
-        let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|l| l.tag == tag && l.stamp != 0)
-    }
-}
-
-/// N independent cache instances of one geometry, stored as flat
-/// structure-of-arrays: all lanes' tag arrays live in one lane-major
-/// allocation, with per-lane stamp and counter vectors alongside.
-///
-/// Lanes never share lines or stamps — [`lane_view`](Self::lane_view)
-/// windows one lane and runs the exact [`CacheLaneView`] logic the scalar
-/// [`SetAssocCache`] runs, so a lane is bit-identical to a standalone cache
-/// receiving the same access sequence.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheLanes {
-    lines: Vec<Line>,
-    lines_per_lane: usize,
-    next_stamp: Vec<u64>,
-    accesses: Vec<u64>,
-    misses: Vec<u64>,
-    ways: usize,
-    set_mask: u64,
-    block_shift: u32,
-    tag_shift: u32,
-}
-
-impl CacheLanes {
-    /// Builds `lanes` caches of the given geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`gpm_types::GpmError::InvalidConfig`] if the geometry fails
-    /// [`CacheConfig::validate`].
-    pub(crate) fn new(config: CacheConfig, lanes: usize) -> gpm_types::Result<Self> {
-        config
-            .validate()
-            .map_err(|reason| gpm_types::GpmError::InvalidConfig {
-                parameter: "cache",
-                reason,
-            })?;
-        let sets = config.sets();
-        let set_mask = sets as u64 - 1;
-        let lines_per_lane = sets * config.ways;
-        Ok(Self {
-            lines: vec![Line::default(); lines_per_lane * lanes],
-            lines_per_lane,
-            next_stamp: vec![0; lanes],
-            accesses: vec![0; lanes],
-            misses: vec![0; lanes],
-            ways: config.ways,
-            set_mask,
-            block_shift: config.block_bytes.trailing_zeros(),
-            tag_shift: set_mask.count_ones(),
-        })
-    }
-
-    /// A mutable window onto lane `lane`'s tag array and counters.
-    #[inline]
-    pub(crate) fn lane_view(&mut self, lane: usize) -> CacheLaneView<'_> {
-        let base = lane * self.lines_per_lane;
-        CacheLaneView {
-            lines: &mut self.lines[base..base + self.lines_per_lane],
-            next_stamp: &mut self.next_stamp[lane],
-            accesses: &mut self.accesses[lane],
-            misses: &mut self.misses[lane],
-            ways: self.ways,
-            set_mask: self.set_mask,
-            block_shift: self.block_shift,
-            tag_shift: self.tag_shift,
-        }
-    }
-}
-
 /// A set-associative cache with true-LRU replacement, modelling only the tag
 /// array (timing/allocation behaviour; no data storage).
 ///
@@ -301,37 +153,51 @@ impl SetAssocCache {
         self.config
     }
 
-    /// A mutable window onto this cache's tag array and counters — the
-    /// shared implementation behind both the scalar and the lane-batched
-    /// access paths.
-    #[inline]
-    pub(crate) fn view(&mut self) -> CacheLaneView<'_> {
-        CacheLaneView {
-            lines: &mut self.lines,
-            next_stamp: &mut self.next_stamp,
-            accesses: &mut self.accesses,
-            misses: &mut self.misses,
-            ways: self.config.ways,
-            set_mask: self.set_mask,
-            block_shift: self.block_shift,
-            tag_shift: self.tag_shift,
-        }
-    }
-
     /// Accesses byte address `addr`, allocating the line on a miss.
     ///
-    /// See [`CacheLaneView::access`] for the single-pass hit/LRU-victim
-    /// scan this delegates to.
+    /// A single pass over the (2–4 entry) set serves both the hit fast path
+    /// and LRU victim selection: the scan returns as soon as the tag
+    /// matches, and otherwise has already found the first minimum-stamp way
+    /// (invalid ways carry stamp 0, so they win automatically — the same
+    /// ordering `min_by_key` on `valid → stamp, invalid → 0` produced).
     #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        self.view().access(addr)
+        self.accesses += 1;
+        self.next_stamp += 1;
+        let stamp = self.next_stamp;
+        let block = addr >> self.block_shift;
+        let set = (block & self.set_mask) as usize;
+        let tag = block >> self.tag_shift;
+        let ways = self.config.ways;
+        let base = set * ways;
+        let set_lines = &mut self.lines[base..base + ways];
+
+        let mut victim = 0usize;
+        let mut victim_stamp = u64::MAX;
+        for (i, line) in set_lines.iter_mut().enumerate() {
+            if line.tag == tag && line.stamp != 0 {
+                line.stamp = stamp;
+                return AccessOutcome::Hit;
+            }
+            if line.stamp < victim_stamp {
+                victim_stamp = line.stamp;
+                victim = i;
+            }
+        }
+
+        self.misses += 1;
+        set_lines[victim] = Line { tag, stamp };
+        AccessOutcome::Miss
     }
 
     /// Installs the line for `addr` without counting a demand access or a
     /// demand miss (hardware-prefetch fills). Returns whether the line was
     /// already resident.
     pub fn install(&mut self, addr: u64) -> AccessOutcome {
-        self.view().install(addr)
+        let before = (self.accesses, self.misses);
+        let outcome = self.access(addr);
+        (self.accesses, self.misses) = before;
+        outcome
     }
 
     /// Probes whether `addr` is resident without touching LRU state or
@@ -507,45 +373,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn lanes_match_independent_scalar_caches() {
-        // Three lanes fed three different access sequences must behave
-        // exactly like three standalone caches fed the same sequences.
-        let config = CacheConfig::new(256, 2, 64);
-        let mut lanes = CacheLanes::new(config, 3).unwrap();
-        let mut scalars: Vec<_> = (0..3)
-            .map(|_| SetAssocCache::new(config).unwrap())
-            .collect();
-        let mut x = 7u64;
-        for i in 0..5000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let lane = (i % 3) as usize;
-            let addr = x % 8192;
-            assert_eq!(
-                lanes.lane_view(lane).access(addr),
-                scalars[lane].access(addr)
-            );
-            if i % 7 == 0 {
-                assert_eq!(
-                    lanes.lane_view(lane).install(addr ^ 4096),
-                    scalars[lane].install(addr ^ 4096)
-                );
-            }
-            assert_eq!(
-                lanes.lane_view(lane).contains(addr),
-                scalars[lane].contains(addr)
-            );
-        }
-        for (lane, scalar) in scalars.iter().enumerate() {
-            assert_eq!(*lanes.lane_view(lane).accesses, scalar.accesses());
-            assert_eq!(*lanes.lane_view(lane).misses, scalar.misses());
-        }
-    }
-
-    #[test]
-    fn lanes_reject_invalid_geometry() {
-        assert!(CacheLanes::new(CacheConfig::new(100, 3, 7), 2).is_err());
     }
 }

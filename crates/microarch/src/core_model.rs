@@ -4,22 +4,21 @@
 //!
 //! # Hot-path structure
 //!
-//! Every experiment in the workspace funnels through [`CoreModel::step`]'s
-//! per-instruction loop, so this module is written for raw simulation
-//! throughput while keeping results bit-identical across delivery and
-//! dispatch strategies:
+//! Every experiment in the workspace funnels through
+//! [`CoreEngine::run_cycles_with`]'s per-instruction loop — single-core
+//! captures through [`CoreModel`], full-CMP quanta through bare engines —
+//! so this module is written for raw simulation throughput while keeping
+//! results bit-identical across delivery strategies:
 //!
 //! * **Batched instruction delivery** — ops are pulled from the
 //!   [`InstructionSource`] in blocks (via
 //!   [`fill_ops`](InstructionSource::fill_ops)) into a reusable buffer, so a
 //!   boxed/dynamic source pays one virtual call per block instead of one per
 //!   op. Unconsumed ops carry over between `run_*` calls; callers that swap
-//!   sources mid-run must call [`CoreModel::discard_pending_ops`].
-//! * **Monomorphized memory path** — `run_cycles_with` and the internal
-//!   stepping are generic over `M: MemorySubsystem + ?Sized`, so the
-//!   private-L2 common case ([`PrivateMemory`]) inlines completely; dynamic
-//!   users keep working through the `&mut dyn MemorySubsystem` blanket impl
-//!   (see [`CoreModel::run_cycles_dyn`]).
+//!   sources mid-run must call [`CoreEngine::discard_pending_ops`].
+//! * **Monomorphized memory path** — stepping is generic over
+//!   `M: MemorySubsystem + ?Sized`, so the private-L2 common case
+//!   ([`PrivateMemory`]) and the full-CMP recorder inline completely.
 //! * **No per-op division or float math** — the ROB ring is walked with a
 //!   wrapping cursor instead of `%`, functional-unit arbitration is an O(1)
 //!   scan specialised for the paper's 1- and 2-unit classes, and ns→cycles
@@ -28,8 +27,6 @@
 
 use gpm_types::{GpmError, Hertz, Result};
 
-use crate::branch::PredictorLaneView;
-use crate::cache::CacheLaneView;
 use crate::{
     AccessOutcome, BranchPredictor, CoreConfig, InstructionSource, IntervalStats, MicroOp, OpKind,
     SetAssocCache, StreamPrefetcher,
@@ -37,7 +34,7 @@ use crate::{
 
 /// Number of micro-ops fetched from an [`InstructionSource`] per refill of
 /// the core's delivery buffer.
-pub(crate) const OP_BATCH: usize = 256;
+const OP_BATCH: usize = 256;
 
 /// The level of the hierarchy *below* the core's private L1s.
 ///
@@ -136,28 +133,26 @@ enum FuClass {
 }
 
 /// The static (per-configuration) half of the stepping state: every latency
-/// and geometry parameter [`StepLane::step_op`] reads. One instance is
-/// shared by all lanes of a [`LaneBatch`](crate::LaneBatch) and owned
-/// per-core by the scalar [`Engine`].
+/// and geometry parameter [`CoreEngine::step_op`] reads.
 #[derive(Debug, Clone)]
-pub(crate) struct StepParams {
-    pub(crate) dispatch_width: u32,
-    pub(crate) rob_size: usize,
-    pub(crate) fxu_latency: u64,
-    pub(crate) fpu_latency: u64,
-    pub(crate) mispredict_penalty: u64,
-    pub(crate) l1_latency: u64,
-    pub(crate) load_use_penalty: u64,
-    pub(crate) l1i_block_shift: u32,
-    pub(crate) l1d_block_shift: u32,
+struct StepParams {
+    dispatch_width: u32,
+    rob_size: usize,
+    fxu_latency: u64,
+    fpu_latency: u64,
+    mispredict_penalty: u64,
+    l1_latency: u64,
+    load_use_penalty: u64,
+    l1i_block_shift: u32,
+    l1d_block_shift: u32,
     /// Functional-unit pool boundaries into the flat free-time array:
     /// class `c` (in [`FuClass`] order LSU, FXU, FPU, BRU) occupies
     /// `fu_free[fu_offsets[c]..fu_offsets[c + 1]]`.
-    pub(crate) fu_offsets: [usize; 5],
+    fu_offsets: [usize; 5],
 }
 
 impl StepParams {
-    pub(crate) fn from_config(config: &CoreConfig) -> Self {
+    fn from_config(config: &CoreConfig) -> Self {
         let (lsu, fxu, fpu, bru) = (
             config.lsu_count,
             config.fxu_count,
@@ -177,53 +172,355 @@ impl StepParams {
             fu_offsets: [0, lsu, lsu + fxu, lsu + fxu + fpu, lsu + fxu + fpu + bru],
         }
     }
+}
 
-    /// Total functional units per lane (the flat free-time array's length).
-    pub(crate) fn units_total(&self) -> usize {
-        self.fu_offsets[4]
+/// One core of the CMP at a concrete clock frequency.
+///
+/// The model keeps all microarchitectural state (cache contents, predictor
+/// tables, in-flight completion times) across [`run_cycles`] calls, so a
+/// benchmark can be simulated as a sequence of `delta_sim_time` intervals
+/// exactly as the paper's toolchain does.
+///
+/// A `CoreModel` is a [`CoreEngine`] (the scoreboard and L1s) plus a
+/// [`PrivateMemory`] (L2 and DRAM), held as separate fields so `run_cycles`
+/// can borrow both halves disjointly.
+///
+/// [`run_cycles`]: CoreModel::run_cycles
+#[derive(Debug, Clone)]
+pub struct CoreModel {
+    engine: CoreEngine,
+    memory: PrivateMemory,
+}
+
+/// The scoreboard half of a core: everything except the memory below the
+/// L1s, so stepping can mutably borrow the engine and an external
+/// [`MemorySubsystem`] at the same time.
+///
+/// [`CoreModel`] pairs an engine with its own [`PrivateMemory`]; the
+/// full-CMP simulator runs bare engines against a recording
+/// [`DeferredL2`](crate::DeferredL2), which keeps a 64-core chip from
+/// allocating 64 private L2 tag arrays it never touches.
+#[derive(Debug, Clone)]
+pub struct CoreEngine {
+    // Static configuration (latencies in core cycles).
+    params: StepParams,
+    freq: Hertz,
+    ns_per_cycle: f64,
+
+    // Microarchitectural structures.
+    l1i: SetAssocCache,
+    l1d: SetAssocCache,
+    predictor: BranchPredictor,
+    prefetcher: Option<StreamPrefetcher>,
+
+    // Scoreboard state.
+    cur_cycle: u64,
+    dispatched_in_cycle: u32,
+    last_busy_cycle: u64,
+    busy_cycles: u64,
+    completion_ring: Vec<u64>,
+    op_index: u64,
+    /// `op_index % rob_size`, maintained incrementally (no per-op `%`).
+    rob_slot: usize,
+    /// Per-unit next-free cycles, flat across classes; see
+    /// [`StepParams::fu_offsets`] for the class boundaries.
+    fu_free: Vec<u64>,
+    last_fetch_block: u64,
+
+    /// Exact-result memo for ns→cycles conversions: the private memory
+    /// system produces only two distinct latencies, so this two-entry
+    /// MRU cache hits almost always. Results are computed by
+    /// [`Hertz::cycles_for_ns`] on miss, so cached conversions are
+    /// bit-identical to uncached ones.
+    ns_cache: [(f64, u64); 2],
+
+    // Batched instruction delivery: ops fetched ahead of execution.
+    op_buf: Vec<MicroOp>,
+    op_buf_pos: usize,
+    op_buf_len: usize,
+}
+
+impl CoreModel {
+    /// Builds a core at clock frequency `freq` (the DVFS-scaled frequency of
+    /// its current power mode).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] if `config` fails
+    /// [`CoreConfig::validate`] or `freq` is not positive.
+    pub fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
+        Ok(Self {
+            engine: CoreEngine::new(config, freq)?,
+            memory: PrivateMemory::new(config)?,
+        })
+    }
+
+    /// The clock frequency this core instance runs at.
+    #[must_use]
+    pub fn frequency(&self) -> Hertz {
+        self.engine.frequency()
+    }
+
+    /// Total core cycles elapsed since construction.
+    #[must_use]
+    pub fn now_cycles(&self) -> u64 {
+        self.engine.now_cycles()
+    }
+
+    /// Absolute wall time in nanoseconds since construction.
+    #[must_use]
+    pub fn now_ns(&self) -> f64 {
+        self.engine.cur_cycle as f64 * self.engine.ns_per_cycle
+    }
+
+    /// Drops any instructions that were fetched from a source but not yet
+    /// executed; see [`CoreEngine::discard_pending_ops`].
+    pub fn discard_pending_ops(&mut self) {
+        self.engine.discard_pending_ops();
+    }
+
+    /// Runs the core against `source` for (at least) `target_cycles` core
+    /// cycles using the core's private L2 and memory, returning the
+    /// statistics of exactly this interval.
+    pub fn run_cycles(
+        &mut self,
+        source: &mut impl InstructionSource,
+        target_cycles: u64,
+    ) -> IntervalStats {
+        self.engine
+            .run_cycles_with(source, &mut self.memory, target_cycles)
+    }
+
+    /// Runs until `count` further instructions have been dispatched.
+    pub fn run_instructions(
+        &mut self,
+        source: &mut impl InstructionSource,
+        count: u64,
+    ) -> IntervalStats {
+        self.engine
+            .run_instructions_with(source, &mut self.memory, count)
+    }
+
+    /// The branch predictor (for diagnostics).
+    #[must_use]
+    pub fn predictor(&self) -> &BranchPredictor {
+        &self.engine.predictor
+    }
+
+    /// The L1 data cache (for diagnostics).
+    #[must_use]
+    pub fn l1d(&self) -> &SetAssocCache {
+        &self.engine.l1d
+    }
+
+    /// The private memory subsystem (for diagnostics).
+    #[must_use]
+    pub fn private_memory(&self) -> &PrivateMemory {
+        &self.memory
     }
 }
 
-/// A mutable window onto one lane's complete stepping state.
-///
-/// This is *the* scoreboard implementation: the scalar [`Engine`] builds a
-/// view over its own fields and the SoA [`LaneBatch`](crate::LaneBatch)
-/// builds one over slices of its lane-major arrays, so both paths execute
-/// the identical [`step_op`](Self::step_op) and cannot diverge. Both paths
-/// hoist the view out of their op loops (the scalar engine builds one per
-/// run call, the batch one per chunk): `step_op` is too large to inline, so
-/// a per-op view would be materialised on every call rather than scalarised
-/// away — measured at ~15% of core throughput.
-pub(crate) struct StepLane<'a> {
-    pub(crate) params: &'a StepParams,
-    pub(crate) freq: Hertz,
-    pub(crate) ns_per_cycle: f64,
-    pub(crate) l1i: CacheLaneView<'a>,
-    pub(crate) l1d: CacheLaneView<'a>,
-    pub(crate) predictor: PredictorLaneView<'a>,
-    pub(crate) prefetcher: Option<&'a mut StreamPrefetcher>,
-    pub(crate) cur_cycle: &'a mut u64,
-    pub(crate) dispatched_in_cycle: &'a mut u32,
-    pub(crate) last_busy_cycle: &'a mut u64,
-    pub(crate) busy_cycles: &'a mut u64,
-    pub(crate) completion_ring: &'a mut [u64],
-    pub(crate) op_index: &'a mut u64,
-    pub(crate) rob_slot: &'a mut usize,
-    pub(crate) fu_free: &'a mut [u64],
-    pub(crate) last_fetch_block: &'a mut u64,
-    pub(crate) ns_cache: &'a mut [(f64, u64); 2],
-}
+impl CoreEngine {
+    /// Builds a core's scoreboard and L1s at clock frequency `freq`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] if `config` fails
+    /// [`CoreConfig::validate`] or `freq` is not positive.
+    pub fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
+        config.validate()?;
+        if freq.value() <= 0.0 || freq.value().is_nan() {
+            return Err(GpmError::InvalidConfig {
+                parameter: "frequency",
+                reason: format!("must be positive, got {}", freq.value()),
+            });
+        }
+        let prefetcher = if config.prefetch_streams > 0 {
+            Some(StreamPrefetcher::new(
+                config.prefetch_streams,
+                config.l1d.block_bytes,
+            )?)
+        } else {
+            None
+        };
+        let params = StepParams::from_config(config);
+        let units = params.fu_offsets[4];
+        Ok(Self {
+            params,
+            freq,
+            ns_per_cycle: 1.0e9 / freq.value(),
+            l1i: SetAssocCache::new(config.l1i)?,
+            l1d: SetAssocCache::new(config.l1d)?,
+            predictor: BranchPredictor::new(config.predictor),
+            prefetcher,
+            cur_cycle: 0,
+            dispatched_in_cycle: 0,
+            last_busy_cycle: u64::MAX,
+            busy_cycles: 0,
+            completion_ring: vec![0; config.rob_size],
+            op_index: 0,
+            rob_slot: 0,
+            fu_free: vec![0; units],
+            last_fetch_block: u64::MAX,
+            ns_cache: [(f64::NAN, 0); 2],
+            op_buf: vec![MicroOp::int_alu(None); OP_BATCH],
+            op_buf_pos: 0,
+            op_buf_len: 0,
+        })
+    }
 
-impl StepLane<'_> {
+    /// The clock frequency this engine runs at.
+    #[must_use]
+    pub fn frequency(&self) -> Hertz {
+        self.freq
+    }
+
+    /// Total core cycles elapsed since construction.
+    #[must_use]
+    pub fn now_cycles(&self) -> u64 {
+        self.cur_cycle
+    }
+
+    /// Drops any instructions that were fetched from a source but not yet
+    /// executed.
+    ///
+    /// The core prefetches ops in blocks of [`OP_BATCH`]; callers that swap
+    /// instruction sources on a live core (e.g. trace capture restarting a
+    /// stream after cache warm-up) must discard the stale tail so the next
+    /// run starts at the new source's first op.
+    pub fn discard_pending_ops(&mut self) {
+        self.op_buf_pos = 0;
+        self.op_buf_len = 0;
+    }
+
+    /// Stalls the core for exactly `cycles` cycles: the clock advances, no
+    /// instructions dispatch, and the cycles count as idle (not busy).
+    ///
+    /// This is the stall-credit entry point of the two-phase full-CMP
+    /// protocol: queueing and miss delays discovered during the serial L2
+    /// replay of one quantum are charged to the core at the start of its
+    /// next quantum. The credit is indistinguishable from a long in-order
+    /// memory stall — the dispatch window reopens afterwards.
+    pub fn apply_stall_cycles(&mut self, cycles: u64) {
+        self.cur_cycle += cycles;
+        self.dispatched_in_cycle = 0;
+    }
+
+    /// Runs the core against `source` for (at least) `target_cycles` core
+    /// cycles, resolving L1 misses through `memory`, and returns the
+    /// statistics of exactly this interval. The last op may overshoot the
+    /// target; a target of 0 returns empty statistics without stepping.
+    ///
+    /// Generic over the memory subsystem so concrete callers monomorphize
+    /// and inline the access path; trait objects still work
+    /// (`M = dyn MemorySubsystem`).
+    pub fn run_cycles_with<M: MemorySubsystem + ?Sized>(
+        &mut self,
+        source: &mut impl InstructionSource,
+        memory: &mut M,
+        target_cycles: u64,
+    ) -> IntervalStats {
+        let mut stats = IntervalStats::default();
+        let start_cycle = self.cur_cycle;
+        let end_cycle = start_cycle.saturating_add(target_cycles);
+        let busy_start = self.busy_cycles;
+
+        // Dispatch on delivery style ONCE per run (the contract requires a
+        // source to answer `borrow_ops` consistently), so each loop below
+        // contains only its own delivery code: for concrete generator
+        // sources the zero-copy arm folds away entirely, and a dynamic
+        // source pays one virtual probe per run instead of one per op.
+        if source.borrow_ops(1).is_some() {
+            // Zero-copy path: step straight out of the source's own
+            // storage, reporting back how many ops the cycle bound let us
+            // retire.
+            while self.cur_cycle < end_cycle {
+                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
+                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
+                    break;
+                };
+                let mut used = 0;
+                while used < chunk.len() && self.cur_cycle < end_cycle {
+                    self.step_op(chunk[used], memory, &mut stats);
+                    used += 1;
+                }
+                source.consume_ops(used);
+            }
+        } else {
+            while self.cur_cycle < end_cycle {
+                let op = self.next_buffered_op(source);
+                self.step_op(op, memory, &mut stats);
+            }
+        }
+
+        stats.cycles = self.cur_cycle - start_cycle;
+        stats.busy_cycles = self.busy_cycles - busy_start;
+        stats
+    }
+
+    fn run_instructions_with<M: MemorySubsystem + ?Sized>(
+        &mut self,
+        source: &mut impl InstructionSource,
+        memory: &mut M,
+        count: u64,
+    ) -> IntervalStats {
+        let mut stats = IntervalStats::default();
+        let start_cycle = self.cur_cycle;
+        let busy_start = self.busy_cycles;
+
+        // Delivery-style dispatch once per run, as in `run_cycles_with`.
+        let mut remaining = count;
+        if source.borrow_ops(1).is_some() {
+            while remaining > 0 {
+                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
+                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
+                    break;
+                };
+                let take = chunk
+                    .len()
+                    .min(usize::try_from(remaining).unwrap_or(usize::MAX));
+                for &op in &chunk[..take] {
+                    self.step_op(op, memory, &mut stats);
+                }
+                source.consume_ops(take);
+                remaining -= take as u64;
+            }
+        } else {
+            while remaining > 0 {
+                let op = self.next_buffered_op(source);
+                self.step_op(op, memory, &mut stats);
+                remaining -= 1;
+            }
+        }
+
+        stats.cycles = self.cur_cycle - start_cycle;
+        stats.busy_cycles = self.busy_cycles - busy_start;
+        stats
+    }
+
+    /// The next op from the delivery buffer, refilling it from `source`
+    /// in one [`fill_ops`](InstructionSource::fill_ops) call when empty.
+    #[inline(always)]
+    fn next_buffered_op(&mut self, source: &mut impl InstructionSource) -> MicroOp {
+        if self.op_buf_pos == self.op_buf_len {
+            self.op_buf_len = source.fill_ops(&mut self.op_buf);
+            assert!(
+                self.op_buf_len > 0 && self.op_buf_len <= self.op_buf.len(),
+                "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
+            );
+            self.op_buf_pos = 0;
+        }
+        let op = self.op_buf[self.op_buf_pos];
+        self.op_buf_pos += 1;
+        op
+    }
+
     /// Advances the scoreboard by one micro-op.
     ///
-    /// Force-inlined: there are exactly three monomorphic call sites (the
-    /// scalar engine's two run loops and the lane kernel's chunk loop), and
-    /// inlining lets the view's reference fields resolve to the caller's
-    /// storage — the scalar path then compiles to the same direct field
-    /// access it had before the view extraction.
+    /// Force-inlined into the run loops, which are its only callers, so the
+    /// scoreboard fields stay in registers across the op loop.
     #[inline(always)]
-    pub(crate) fn step_op<M: MemorySubsystem + ?Sized>(
+    fn step_op<M: MemorySubsystem + ?Sized>(
         &mut self,
         op: MicroOp,
         memory: &mut M,
@@ -231,40 +528,40 @@ impl StepLane<'_> {
     ) {
         // --- Instruction fetch: one L1I access per new code block. ---
         let fetch_block = op.code_addr >> self.params.l1i_block_shift;
-        if fetch_block != *self.last_fetch_block {
-            *self.last_fetch_block = fetch_block;
+        if fetch_block != self.last_fetch_block {
+            self.last_fetch_block = fetch_block;
             stats.l1i_accesses += 1;
             if self.l1i.access(op.code_addr).is_miss() {
                 stats.l1i_misses += 1;
-                let now_ns = *self.cur_cycle as f64 * self.ns_per_cycle;
+                let now_ns = self.cur_cycle as f64 * self.ns_per_cycle;
                 let (lat_ns, l2_hit) = memory.access_kind(op.code_addr, now_ns, AccessKind::Fetch);
                 stats.l2_accesses += 1;
                 if !l2_hit {
                     stats.l2_misses += 1;
                 }
                 // An I-miss stalls the front end outright.
-                *self.cur_cycle += self.ns_to_cycles(lat_ns);
-                *self.dispatched_in_cycle = 0;
+                self.cur_cycle += self.ns_to_cycles(lat_ns);
+                self.dispatched_in_cycle = 0;
             }
         }
 
         // --- ROB window: wait for the oldest in-flight op to complete. ---
-        let slot = *self.rob_slot;
+        let slot = self.rob_slot;
         let oldest = self.completion_ring[slot];
-        if oldest > *self.cur_cycle {
-            *self.cur_cycle = oldest;
-            *self.dispatched_in_cycle = 0;
+        if oldest > self.cur_cycle {
+            self.cur_cycle = oldest;
+            self.dispatched_in_cycle = 0;
         }
 
         // --- Dispatch bandwidth. ---
-        if *self.dispatched_in_cycle >= self.params.dispatch_width {
-            *self.cur_cycle += 1;
-            *self.dispatched_in_cycle = 0;
+        if self.dispatched_in_cycle >= self.params.dispatch_width {
+            self.cur_cycle += 1;
+            self.dispatched_in_cycle = 0;
         }
-        *self.dispatched_in_cycle += 1;
-        if *self.cur_cycle != *self.last_busy_cycle {
-            *self.last_busy_cycle = *self.cur_cycle;
-            *self.busy_cycles += 1;
+        self.dispatched_in_cycle += 1;
+        if self.cur_cycle != self.last_busy_cycle {
+            self.last_busy_cycle = self.cur_cycle;
+            self.busy_cycles += 1;
         }
 
         // --- Operand readiness from the producer's completion time. ---
@@ -274,9 +571,9 @@ impl StepLane<'_> {
         // selects instead of an `if let` body) to spare the host branch
         // predictor: a dep of 0 stands in for "none" and resolves to the
         // already-read oldest slot.
-        let mut ready = *self.cur_cycle;
+        let mut ready = self.cur_cycle;
         let dep = op.dep.map_or(0, |d| d as usize);
-        let valid = (dep > 0) & (dep as u64 <= *self.op_index) & (dep <= self.params.rob_size);
+        let valid = (dep > 0) & (dep as u64 <= self.op_index) & (dep <= self.params.rob_size);
         let dep = if valid { dep } else { 0 };
         // (op_index - dep) % rob_size, via the wrapping cursor.
         let producer = if slot >= dep {
@@ -319,7 +616,7 @@ impl StepLane<'_> {
                 if taken {
                     // POWER4 dispatch groups end at taken branches: the
                     // redirected fetch stream starts a new group next cycle.
-                    *self.dispatched_in_cycle = self.params.dispatch_width;
+                    self.dispatched_in_cycle = self.params.dispatch_width;
                 }
                 (FuClass::Bru, 1, miss)
             }
@@ -332,18 +629,18 @@ impl StepLane<'_> {
         let issue = take_earliest_unit(pool, ready);
         let completion = issue + latency;
         self.completion_ring[slot] = completion;
-        *self.op_index += 1;
-        *self.rob_slot += 1;
-        if *self.rob_slot == self.params.rob_size {
-            *self.rob_slot = 0;
+        self.op_index += 1;
+        self.rob_slot += 1;
+        if self.rob_slot == self.params.rob_size {
+            self.rob_slot = 0;
         }
 
         // --- Misprediction: the front end restarts after resolution. ---
         if mispredicted {
             let restart = completion + self.params.mispredict_penalty;
-            if restart > *self.cur_cycle {
-                *self.cur_cycle = restart;
-                *self.dispatched_in_cycle = 0;
+            if restart > self.cur_cycle {
+                self.cur_cycle = restart;
+                self.dispatched_in_cycle = 0;
             }
         }
     }
@@ -413,379 +710,6 @@ impl StepLane<'_> {
         self.ns_cache[1] = self.ns_cache[0];
         self.ns_cache[0] = (ns, cycles);
         cycles
-    }
-}
-
-/// One core of the CMP at a concrete clock frequency.
-///
-/// The model keeps all microarchitectural state (cache contents, predictor
-/// tables, in-flight completion times) across [`run_cycles`] calls, so a
-/// benchmark can be simulated as a sequence of `delta_sim_time` intervals
-/// exactly as the paper's toolchain does.
-///
-/// Internally the scoreboard lives in a separate [`Engine`] struct from the
-/// private memory system, so `run_cycles` can borrow both halves disjointly
-/// — no placeholder memory object is ever constructed.
-///
-/// [`run_cycles`]: CoreModel::run_cycles
-#[derive(Debug, Clone)]
-pub struct CoreModel {
-    engine: Engine,
-    memory: PrivateMemory,
-}
-
-/// The scoreboard half of [`CoreModel`]: everything except the private
-/// memory subsystem, so stepping can mutably borrow the engine and an
-/// external [`MemorySubsystem`] at the same time.
-#[derive(Debug, Clone)]
-struct Engine {
-    // Static configuration (latencies in core cycles), shared verbatim with
-    // the lane-batched kernel.
-    params: StepParams,
-    freq: Hertz,
-    ns_per_cycle: f64,
-
-    // Microarchitectural structures.
-    l1i: SetAssocCache,
-    l1d: SetAssocCache,
-    predictor: BranchPredictor,
-    prefetcher: Option<StreamPrefetcher>,
-
-    // Scoreboard state.
-    cur_cycle: u64,
-    dispatched_in_cycle: u32,
-    last_busy_cycle: u64,
-    busy_cycles: u64,
-    completion_ring: Vec<u64>,
-    op_index: u64,
-    /// `op_index % rob_size`, maintained incrementally (no per-op `%`).
-    rob_slot: usize,
-    /// Per-unit next-free cycles, flat across classes; see
-    /// [`StepParams::fu_offsets`] for the class boundaries.
-    fu_free: Vec<u64>,
-    last_fetch_block: u64,
-
-    /// Exact-result memo for ns→cycles conversions: the private memory
-    /// system produces only two distinct latencies, so this two-entry
-    /// MRU cache hits almost always. Results are computed by
-    /// [`Hertz::cycles_for_ns`] on miss, so cached conversions are
-    /// bit-identical to uncached ones.
-    ns_cache: [(f64, u64); 2],
-
-    // Batched instruction delivery: ops fetched ahead of execution.
-    op_buf: Vec<MicroOp>,
-    op_buf_pos: usize,
-    op_buf_len: usize,
-}
-
-impl CoreModel {
-    /// Builds a core at clock frequency `freq` (the DVFS-scaled frequency of
-    /// its current power mode).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpmError::InvalidConfig`] if `config` fails
-    /// [`CoreConfig::validate`] or `freq` is not positive.
-    pub fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
-        config.validate()?;
-        if freq.value() <= 0.0 || freq.value().is_nan() {
-            return Err(GpmError::InvalidConfig {
-                parameter: "frequency",
-                reason: format!("must be positive, got {}", freq.value()),
-            });
-        }
-        let prefetcher = if config.prefetch_streams > 0 {
-            Some(StreamPrefetcher::new(
-                config.prefetch_streams,
-                config.l1d.block_bytes,
-            )?)
-        } else {
-            None
-        };
-        let params = StepParams::from_config(config);
-        let units = params.units_total();
-        Ok(Self {
-            engine: Engine {
-                params,
-                freq,
-                ns_per_cycle: 1.0e9 / freq.value(),
-                l1i: SetAssocCache::new(config.l1i)?,
-                l1d: SetAssocCache::new(config.l1d)?,
-                predictor: BranchPredictor::new(config.predictor),
-                prefetcher,
-                cur_cycle: 0,
-                dispatched_in_cycle: 0,
-                last_busy_cycle: u64::MAX,
-                busy_cycles: 0,
-                completion_ring: vec![0; config.rob_size],
-                op_index: 0,
-                rob_slot: 0,
-                fu_free: vec![0; units],
-                last_fetch_block: u64::MAX,
-                ns_cache: [(f64::NAN, 0); 2],
-                op_buf: vec![MicroOp::int_alu(None); OP_BATCH],
-                op_buf_pos: 0,
-                op_buf_len: 0,
-            },
-            memory: PrivateMemory::new(config)?,
-        })
-    }
-
-    /// The clock frequency this core instance runs at.
-    #[must_use]
-    pub fn frequency(&self) -> Hertz {
-        self.engine.freq
-    }
-
-    /// Total core cycles elapsed since construction.
-    #[must_use]
-    pub fn now_cycles(&self) -> u64 {
-        self.engine.cur_cycle
-    }
-
-    /// Absolute wall time in nanoseconds since construction.
-    #[must_use]
-    pub fn now_ns(&self) -> f64 {
-        self.engine.cur_cycle as f64 * self.engine.ns_per_cycle
-    }
-
-    /// Drops any instructions that were fetched from a source but not yet
-    /// executed.
-    ///
-    /// The core prefetches ops in blocks of [`OP_BATCH`]; callers that swap
-    /// instruction sources on a live core (e.g. trace capture restarting a
-    /// stream after cache warm-up) must discard the stale tail so the next
-    /// run starts at the new source's first op.
-    pub fn discard_pending_ops(&mut self) {
-        self.engine.op_buf_pos = 0;
-        self.engine.op_buf_len = 0;
-    }
-
-    /// Stalls the core for exactly `cycles` cycles: the clock advances, no
-    /// instructions dispatch, and the cycles count as idle (not busy).
-    ///
-    /// This is the stall-credit entry point of the two-phase full-CMP
-    /// protocol: queueing and miss delays discovered during the serial L2
-    /// replay of one quantum are charged to the core at the start of its
-    /// next quantum. The credit is indistinguishable from a long in-order
-    /// memory stall — the dispatch window reopens afterwards.
-    pub fn apply_stall_cycles(&mut self, cycles: u64) {
-        self.engine.cur_cycle += cycles;
-        self.engine.dispatched_in_cycle = 0;
-    }
-
-    /// Runs the core against `source` for (at least) `target_cycles` core
-    /// cycles using the core's private L2 and memory, returning the
-    /// statistics of exactly this interval.
-    pub fn run_cycles(
-        &mut self,
-        source: &mut impl InstructionSource,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        // Disjoint field borrows: the engine steps against the private
-        // memory without any placeholder swap.
-        self.engine
-            .run_cycles_with(source, &mut self.memory, target_cycles)
-    }
-
-    /// Like [`run_cycles`](Self::run_cycles) but resolving L1 misses through
-    /// an external [`MemorySubsystem`] (used by the full-CMP simulator's
-    /// shared L2).
-    ///
-    /// This method is generic over the memory subsystem so concrete callers
-    /// monomorphize and inline the access path; trait objects still work
-    /// (`M = dyn MemorySubsystem`), or use
-    /// [`run_cycles_dyn`](Self::run_cycles_dyn) to name the dynamic
-    /// boundary explicitly.
-    pub fn run_cycles_with<M: MemorySubsystem + ?Sized>(
-        &mut self,
-        source: &mut impl InstructionSource,
-        memory: &mut M,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        self.engine.run_cycles_with(source, memory, target_cycles)
-    }
-
-    /// Thin dynamic-dispatch wrapper over
-    /// [`run_cycles_with`](Self::run_cycles_with) for callers that hold the
-    /// memory system (and/or the source) as trait objects.
-    pub fn run_cycles_dyn(
-        &mut self,
-        mut source: &mut dyn InstructionSource,
-        memory: &mut dyn MemorySubsystem,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        self.engine
-            .run_cycles_with(&mut source, memory, target_cycles)
-    }
-
-    /// Runs until `count` further instructions have been dispatched.
-    pub fn run_instructions(
-        &mut self,
-        source: &mut impl InstructionSource,
-        count: u64,
-    ) -> IntervalStats {
-        self.engine
-            .run_instructions_with(source, &mut self.memory, count)
-    }
-
-    /// The branch predictor (for diagnostics).
-    #[must_use]
-    pub fn predictor(&self) -> &BranchPredictor {
-        &self.engine.predictor
-    }
-
-    /// The L1 data cache (for diagnostics).
-    #[must_use]
-    pub fn l1d(&self) -> &SetAssocCache {
-        &self.engine.l1d
-    }
-
-    /// The private memory subsystem (for diagnostics).
-    #[must_use]
-    pub fn private_memory(&self) -> &PrivateMemory {
-        &self.memory
-    }
-}
-
-impl Engine {
-    fn run_cycles_with<M: MemorySubsystem + ?Sized>(
-        &mut self,
-        source: &mut impl InstructionSource,
-        memory: &mut M,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        let mut stats = IntervalStats::default();
-        let start_cycle = self.cur_cycle;
-        let end_cycle = start_cycle.saturating_add(target_cycles);
-        let busy_start = self.busy_cycles;
-
-        // Dispatch on delivery style ONCE per run (the contract requires a
-        // source to answer `borrow_ops` consistently), so each loop below
-        // contains only its own delivery code: for concrete generator
-        // sources the zero-copy arm folds away entirely, and a dynamic
-        // source pays one virtual probe per run instead of one per op.
-        let (mut lane, op_buf, op_buf_pos, op_buf_len) = self.lane_view();
-        if source.borrow_ops(1).is_some() {
-            // Zero-copy path: step straight out of the source's own
-            // storage, reporting back how many ops the cycle bound let us
-            // retire.
-            while *lane.cur_cycle < end_cycle {
-                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
-                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
-                    break;
-                };
-                let mut used = 0;
-                while used < chunk.len() && *lane.cur_cycle < end_cycle {
-                    lane.step_op(chunk[used], memory, &mut stats);
-                    used += 1;
-                }
-                source.consume_ops(used);
-            }
-        } else {
-            while *lane.cur_cycle < end_cycle {
-                if *op_buf_pos == *op_buf_len {
-                    *op_buf_len = source.fill_ops(op_buf);
-                    assert!(
-                        *op_buf_len > 0 && *op_buf_len <= op_buf.len(),
-                        "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
-                    );
-                    *op_buf_pos = 0;
-                }
-                let op = op_buf[*op_buf_pos];
-                *op_buf_pos += 1;
-                lane.step_op(op, memory, &mut stats);
-            }
-        }
-
-        stats.cycles = self.cur_cycle - start_cycle;
-        stats.busy_cycles = self.busy_cycles - busy_start;
-        stats
-    }
-
-    fn run_instructions_with<M: MemorySubsystem + ?Sized>(
-        &mut self,
-        source: &mut impl InstructionSource,
-        memory: &mut M,
-        count: u64,
-    ) -> IntervalStats {
-        let mut stats = IntervalStats::default();
-        let start_cycle = self.cur_cycle;
-        let busy_start = self.busy_cycles;
-
-        // Delivery-style dispatch once per run, as in `run_cycles_with`.
-        let (mut lane, op_buf, op_buf_pos, op_buf_len) = self.lane_view();
-        let mut remaining = count;
-        if source.borrow_ops(1).is_some() {
-            while remaining > 0 {
-                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
-                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
-                    break;
-                };
-                let take = chunk
-                    .len()
-                    .min(usize::try_from(remaining).unwrap_or(usize::MAX));
-                for &op in &chunk[..take] {
-                    lane.step_op(op, memory, &mut stats);
-                }
-                source.consume_ops(take);
-                remaining -= take as u64;
-            }
-        } else {
-            while remaining > 0 {
-                if *op_buf_pos == *op_buf_len {
-                    *op_buf_len = source.fill_ops(op_buf);
-                    assert!(
-                        *op_buf_len > 0 && *op_buf_len <= op_buf.len(),
-                        "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
-                    );
-                    *op_buf_pos = 0;
-                }
-                let op = op_buf[*op_buf_pos];
-                *op_buf_pos += 1;
-                lane.step_op(op, memory, &mut stats);
-                remaining -= 1;
-            }
-        }
-
-        stats.cycles = self.cur_cycle - start_cycle;
-        stats.busy_cycles = self.busy_cycles - busy_start;
-        stats
-    }
-
-    /// Splits the engine into a [`StepLane`] view over the scoreboard state
-    /// plus the op delivery buffer. Built once per run call and reused for
-    /// the whole op loop — rebuilding the view per op costs ~15% of core
-    /// throughput ([`step_op`](StepLane::step_op) is too large to inline, so
-    /// a per-op view is materialised rather than scalarised away). The
-    /// lane-batched kernel hoists its views the same way, once per chunk.
-    #[allow(clippy::type_complexity)]
-    fn lane_view(&mut self) -> (StepLane<'_>, &mut [MicroOp], &mut usize, &mut usize) {
-        let lane = StepLane {
-            params: &self.params,
-            freq: self.freq,
-            ns_per_cycle: self.ns_per_cycle,
-            l1i: self.l1i.view(),
-            l1d: self.l1d.view(),
-            predictor: self.predictor.view(),
-            prefetcher: self.prefetcher.as_mut(),
-            cur_cycle: &mut self.cur_cycle,
-            dispatched_in_cycle: &mut self.dispatched_in_cycle,
-            last_busy_cycle: &mut self.last_busy_cycle,
-            busy_cycles: &mut self.busy_cycles,
-            completion_ring: &mut self.completion_ring,
-            op_index: &mut self.op_index,
-            rob_slot: &mut self.rob_slot,
-            fu_free: &mut self.fu_free,
-            last_fetch_block: &mut self.last_fetch_block,
-            ns_cache: &mut self.ns_cache,
-        };
-        (
-            lane,
-            &mut self.op_buf,
-            &mut self.op_buf_pos,
-            &mut self.op_buf_len,
-        )
     }
 }
 
@@ -1192,6 +1116,37 @@ mod tests {
         let stats = core.run_instructions(&mut fps, 100);
         assert_eq!(stats.fp_ops, 100);
         assert_eq!(stats.int_ops, 0, "stale buffered ops must not execute");
+    }
+
+    #[test]
+    fn engine_stall_and_zero_target_semantics() {
+        // The full-CMP protocol charges correction credits as stalls and
+        // may leave a fully stalled core a zero-cycle quantum.
+        let config = CoreConfig::power4();
+        let mut engine = CoreEngine::new(&config, Hertz::from_ghz(1.0)).unwrap();
+        let mut memory = PrivateMemory::new(&config).unwrap();
+        let mut s = TestStream::cycle(vec![MicroOp::int_alu(None)]);
+        engine.apply_stall_cycles(5_000);
+        assert_eq!(engine.now_cycles(), 5_000);
+        let idle = engine.run_cycles_with(&mut s, &mut memory, 0);
+        assert_eq!(idle, IntervalStats::default());
+        assert_eq!(engine.now_cycles(), 5_000, "a zero target must not step");
+        let stats = engine.run_cycles_with(&mut s, &mut memory, 1_000);
+        assert!(stats.instructions > 0);
+        assert!(engine.now_cycles() >= 6_000);
+    }
+
+    #[test]
+    fn engine_rejects_non_positive_frequency() {
+        for bad in [0.0, -1.0, f64::NAN] {
+            assert!(matches!(
+                CoreEngine::new(&CoreConfig::power4(), Hertz::new(bad)),
+                Err(GpmError::InvalidConfig {
+                    parameter: "frequency",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! the paper from scratch — while still *exercising real structures* rather
 //! than sampling from closed-form distributions.
 //!
+//! # One stepping engine
+//!
+//! All core stepping goes through one scoreboard, [`CoreEngine`]. A
+//! [`CoreModel`] is an engine plus a [`PrivateMemory`] (the single-core
+//! runs of trace capture); the full-CMP simulator drives bare engines
+//! against a recording [`DeferredL2`] per core.
+//!
 //! # DVFS behaviour
 //!
 //! A [`CoreModel`] is instantiated at a concrete clock frequency. Latencies
@@ -58,7 +65,6 @@ mod cache;
 mod config;
 mod core_model;
 mod deferred;
-mod lanes;
 mod op;
 mod prefetch;
 mod stats;
@@ -66,9 +72,8 @@ mod stats;
 pub use branch::{BranchPredictor, PredictorConfig};
 pub use cache::{AccessOutcome, CacheConfig, SetAssocCache};
 pub use config::{CoreConfig, MemoryConfig};
-pub use core_model::{AccessKind, CoreModel, MemorySubsystem, PrivateMemory};
+pub use core_model::{AccessKind, CoreEngine, CoreModel, MemorySubsystem, PrivateMemory};
 pub use deferred::{DeferredL2, L2Request};
-pub use lanes::LaneBatch;
 pub use op::{InstructionSource, MicroOp, OpKind};
 pub use prefetch::StreamPrefetcher;
 pub use stats::{ActivityFactors, IntervalStats};

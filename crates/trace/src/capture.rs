@@ -1,47 +1,31 @@
 //! Trace capture: deterministic runs of each benchmark at each mode.
 //!
-//! Each (benchmark, mode) run is an independent simulation; the per-mode
-//! captures of one benchmark are spread across the `gpm_par` worker pool
-//! without changing the captured bytes.
+//! Each (benchmark, mode) run is an independent simulation on its own
+//! [`CoreModel`]; the per-mode captures of one benchmark are spread across
+//! the `gpm_par` worker pool without changing the captured bytes.
 
-use gpm_microarch::{CoreConfig, CoreModel, InstructionSource, LaneBatch, PrivateMemory};
+use gpm_microarch::{CoreConfig, CoreModel, InstructionSource};
 use gpm_power::{DvfsParams, PowerModel};
-use gpm_types::{Hertz, Micros, PowerMode, Result};
+use gpm_types::{Micros, PowerMode, Result};
 use gpm_workloads::{SharedTape, SpecBenchmark, WorkloadCombo};
 
 use crate::{BenchmarkTraces, ModeTrace, TraceSample};
 
-/// Default cap (in ops) on the shared instruction tape, ~2 GB of buffered
+/// Cap (in ops) on the shared instruction tape, ~2 GB of buffered
 /// micro-ops. Captures whose worst-case op demand fits replay one shared
 /// recording across all mode runs; larger ones regenerate the stream per
-/// mode. Override with the `GPM_TAPE_MAX_OPS` environment variable.
+/// mode.
 const TAPE_MAX_OPS: u64 = 48_000_000;
 
-fn tape_max_ops() -> u64 {
-    std::env::var("GPM_TAPE_MAX_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(TAPE_MAX_OPS)
-}
-
-/// Which stepping engine drives the per-mode capture runs.
+/// The stepping engine of the per-mode capture runs.
 ///
-/// Both engines produce byte-identical traces — the lane kernel steps each
-/// lane through the exact scalar scoreboard logic — so this is purely a
-/// performance choice, kept selectable so the scalar reference stays
-/// exercised (equivalence tests) and measurable (benches).
+/// There is only one: every capture runs one [`CoreModel`] per mode. The
+/// enum selects nothing and stays only because the benchmark harness
+/// names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaptureEngine {
-    /// All power modes of a benchmark batched through one
-    /// [`LaneBatch::step_lanes`] kernel call: the modes replay the same
-    /// instruction tape at adjacent positions, so a capture costs roughly
-    /// one memory pass instead of three and the host overlaps the lanes'
-    /// dependency chains.
+    /// One [`CoreModel`] per mode, spread across the `gpm_par` worker pool.
     #[default]
-    LaneBatched,
-    /// One scalar [`CoreModel`] per mode, spread across the `gpm_par`
-    /// worker pool — the reference implementation the lane kernel is
-    /// pinned against.
     Scalar,
 }
 
@@ -73,8 +57,7 @@ pub struct CaptureConfig {
     /// Cycles of cache/predictor warm-up simulated (and discarded) before
     /// sample collection starts.
     pub warmup_cycles: u64,
-    /// Stepping engine for the per-mode runs; byte-identical outputs, see
-    /// [`CaptureEngine`].
+    /// Selects nothing; see [`CaptureEngine`].
     pub engine: CaptureEngine,
 }
 
@@ -147,7 +130,7 @@ pub fn capture_benchmark(bench: SpecBenchmark, config: &CaptureConfig) -> Result
     // plus warm-up consumption (bounded by dispatch width × warm-up cycles)
     // plus one delta interval of run-cycle overshoot.
     let worst_case_ops = margin_of(region) + config.warmup_cycles.saturating_mul(8) + 2_000_000;
-    let (region, traces) = if worst_case_ops <= tape_max_ops() {
+    let (region, traces) = if worst_case_ops <= TAPE_MAX_OPS {
         // Reserve for the common consumption (the margined target plus
         // typical warm-up drain); rare overshoot just grows the vec.
         let hint = (margin_of(region) + 600_000) as usize;
@@ -206,11 +189,9 @@ fn capture_all_modes<S: InstructionSource, F: Fn() -> S + Sync>(
     (region, traces)
 }
 
-/// Captures `modes` over sources built by `make_source`, dispatching on the
-/// configured [`CaptureEngine`]. Both arms produce byte-identical traces in
-/// `modes` order: the scalar arm maps independent per-mode simulations over
-/// the worker pool, the batched arm runs one lane per mode through a single
-/// lockstep kernel call on the calling thread.
+/// Captures `modes` over sources built by `make_source`, one independent
+/// per-mode simulation per pool worker, returning the traces in `modes`
+/// order.
 fn capture_modes<S: InstructionSource, F: Fn() -> S + Sync>(
     make_source: &F,
     modes: &[PowerMode],
@@ -218,18 +199,9 @@ fn capture_modes<S: InstructionSource, F: Fn() -> S + Sync>(
     max_duration: Option<Micros>,
     config: &CaptureConfig,
 ) -> Vec<ModeTrace> {
-    match config.engine {
-        CaptureEngine::Scalar => gpm_par::parallel_map(modes, |&mode| {
-            capture_mode(make_source, mode, target_instructions, max_duration, config)
-        }),
-        CaptureEngine::LaneBatched => capture_modes_batched(
-            make_source,
-            modes,
-            target_instructions,
-            max_duration,
-            config,
-        ),
-    }
+    gpm_par::parallel_map(modes, |&mode| {
+        capture_mode(make_source, mode, target_instructions, max_duration, config)
+    })
 }
 
 /// Captures every benchmark of `combo` (deduplicated by benchmark).
@@ -303,81 +275,6 @@ fn capture_mode<S: InstructionSource>(
         });
     }
     ModeTrace::new(mode, config.delta, samples)
-}
-
-/// Batched twin of [`capture_mode`]: one lane per mode through a single
-/// [`LaneBatch::step_lanes`] call, so the modes replay the shared tape at
-/// adjacent positions (one cache-hot memory pass over the op stream) while
-/// the host overlaps their independent dependency chains.
-///
-/// Every per-mode quantity the scalar path derives (warm-up drain, interval
-/// targets, the sample-loop continuation test) is computed per lane with the
-/// same arithmetic, so the assembled traces are byte-identical.
-fn capture_modes_batched<S: InstructionSource>(
-    make_source: &impl Fn() -> S,
-    modes: &[PowerMode],
-    target_instructions: u64,
-    max_duration: Option<Micros>,
-    config: &CaptureConfig,
-) -> Vec<ModeTrace> {
-    let lanes = modes.len();
-    let freqs: Vec<Hertz> = modes.iter().map(|&m| config.dvfs.frequency(m)).collect();
-    let mut batch = LaneBatch::new(&config.core, &freqs)
-        .expect("core config validated by capture entry points");
-    let mut memories: Vec<PrivateMemory> = (0..lanes)
-        .map(|_| PrivateMemory::new(&config.core).expect("validated"))
-        .collect();
-    let delta_cycles: Vec<u64> = freqs
-        .iter()
-        .map(|f| f.cycles_in(config.delta).value())
-        .collect();
-
-    // Warm up caches and predictors, then restart every lane's stream so
-    // instruction indices line up across modes; warm-up stats are discarded
-    // by a callback that never extends the segment.
-    if config.warmup_cycles > 0 {
-        let mut warm: Vec<S> = (0..lanes).map(|_| make_source()).collect();
-        let targets = vec![config.warmup_cycles; lanes];
-        batch.step_lanes(&mut warm, &mut memories, &targets, |_, _| None);
-        batch.discard_pending_ops();
-    }
-
-    let max_samples = max_duration
-        .map(|d| (d.value() / config.delta.value()).ceil() as usize)
-        .unwrap_or(usize::MAX);
-    let mut samples: Vec<Vec<TraceSample>> = vec![Vec::new(); lanes];
-    let mut committed = vec![0u64; lanes];
-    // The scalar loop tests its bounds *before* the first interval; an
-    // already-satisfied bound must produce zero samples here too.
-    let live = target_instructions > 0 && max_samples > 0;
-    let targets: Vec<u64> = if live {
-        delta_cycles.clone()
-    } else {
-        vec![0; lanes]
-    };
-    let mut sources: Vec<S> = (0..lanes).map(|_| make_source()).collect();
-    batch.step_lanes(&mut sources, &mut memories, &targets, |lane, stats| {
-        if !live {
-            return None;
-        }
-        committed[lane] += stats.instructions;
-        let power = config.power.power(&stats.activity(), modes[lane]);
-        samples[lane].push(TraceSample {
-            instructions_end: committed[lane],
-            power_w: power.value(),
-            bips: stats.bips_at(freqs[lane]).value(),
-        });
-        if committed[lane] < target_instructions && samples[lane].len() < max_samples {
-            Some(delta_cycles[lane])
-        } else {
-            None
-        }
-    });
-    modes
-        .iter()
-        .zip(samples)
-        .map(|(&mode, s)| ModeTrace::new(mode, config.delta, s))
-        .collect()
 }
 
 #[cfg(test)]

@@ -47,13 +47,12 @@ GPM_THREADS=1 cargo test --quiet -p gpm-core --lib policy::
 GPM_THREADS=8 cargo test --quiet -p gpm-core --lib policy::
 cargo clippy -p gpm-core --all-targets -- -D warnings
 
-# The SoA lane-batched kernel promises bit-identity with the scalar
-# stepping path for any lane count, chunk schedule and pool width; run
-# the equivalence group (golden trace hashes, scalar-vs-batched engines,
-# the mixed-mode lane batch and the quantum-boundary proptest) under a
-# serial and a saturated pool, and lint the core-model crate at
-# zero-warning strictness.
-echo "==> lane kernel: step_equivalence under two pool widths + clippy -D warnings"
+# The core stepping engine promises captured traces bit-identical to the
+# pre-overhaul goldens (12 benchmarks x 3 modes) and interval statistics
+# independent of how ops are delivered, for any pool width; run the
+# equivalence group under a serial and a saturated pool, and lint the
+# core-model crate at zero-warning strictness.
+echo "==> stepping engine: step_equivalence (trace goldens, delivery shape) under two pool widths + clippy -D warnings"
 GPM_THREADS=1 cargo test --quiet --test step_equivalence
 GPM_THREADS=8 cargo test --quiet --test step_equivalence
 cargo clippy -p gpm-microarch --all-targets -- -D warnings
@@ -158,8 +157,7 @@ cargo run --release --quiet -p gpm-cli -- figure fleet --nodes 64 --fast \
     --fault-seed 7 > /dev/null
 
 # Smoke-run the throughput baseline (including the full-CMP two-phase
-# cases, the lane-batched vs scalar capture-engine cases and the
-# policy-decide latency cases) so the bench target cannot bit-rot;
+# cases, the capture cases and the policy-decide latency cases) so the bench target cannot bit-rot;
 # GPM_BENCH_QUICK bounds the run and failure means panic, not
 # regression.
 echo "==> GPM_BENCH_QUICK=1 cargo bench -p gpm-bench --bench sim_throughput"

@@ -105,7 +105,7 @@ fn outcome_is_bit_identical_across_thread_counts() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     for combo in &golden_combos() {
         let reference = run_hash(combo, 1);
-        for threads in [2, 8] {
+        for threads in [2, 3, 8] {
             let got = run_hash(combo, threads);
             assert_eq!(
                 got,

@@ -12,20 +12,12 @@
 //! 2. Delivery-shape independence: a source that trickles ops one per
 //!    `fill_ops` call must produce exactly the same interval statistics as
 //!    the same stream delivering full batches, at every DVFS frequency.
-//! 3. Engine independence: the SoA lane-batched kernel (`LaneBatch`) and
-//!    the scalar `CoreModel` path must agree byte-for-byte — via the same
-//!    golden hashes for full captures, via direct `IntervalStats` equality
-//!    for mixed-mode lane batches, and via a property test over random
-//!    quantum boundaries.
 
-use gpm::microarch::{
-    CoreConfig, CoreModel, InstructionSource, IntervalStats, LaneBatch, MicroOp, PrivateMemory,
-};
+use gpm::microarch::{CoreConfig, CoreModel, InstructionSource, MicroOp};
 use gpm::power::DvfsParams;
-use gpm::trace::{capture_benchmark, CaptureConfig, CaptureEngine};
-use gpm::types::{fnv1a, Hertz, PowerMode};
+use gpm::trace::{capture_benchmark, CaptureConfig};
+use gpm::types::{fnv1a, PowerMode};
 use gpm::workloads::SpecBenchmark;
-use proptest::prelude::*;
 
 /// Hashes of `serde_json::to_string` of each mode's `ModeTrace`, captured
 /// with `CaptureConfig::fast(150_000)` on the pre-overhaul seed commit, in
@@ -116,132 +108,6 @@ impl<S: InstructionSource> InstructionSource for OneAtATime<S> {
     fn fill_ops(&mut self, buf: &mut [MicroOp]) -> usize {
         buf[0] = self.0.next_op();
         1
-    }
-}
-
-/// The scalar capture engine must reproduce the same goldens the default
-/// lane-batched engine is checked against above — pinning the two engines
-/// to each other *and* to the pre-overhaul bytes, for all 12 benchmarks ×
-/// 3 modes.
-#[test]
-fn scalar_engine_matches_lane_batched_goldens() {
-    let mut config = CaptureConfig::fast(150_000);
-    config.engine = CaptureEngine::Scalar;
-    for (name, golden) in GOLDEN_TRACE_HASHES {
-        let bench = SpecBenchmark::ALL
-            .into_iter()
-            .find(|b| b.name() == name)
-            .expect("golden table names a known benchmark");
-        let traces = capture_benchmark(bench, &config).expect("capture");
-        for (mode, expected) in [PowerMode::Turbo, PowerMode::Eff1, PowerMode::Eff2]
-            .into_iter()
-            .zip(golden)
-        {
-            let json = serde_json::to_string(traces.trace(mode)).expect("serialize");
-            assert_eq!(
-                fnv1a(json.as_bytes()),
-                expected,
-                "scalar-engine trace bytes diverged for {name} at {mode}",
-            );
-        }
-    }
-}
-
-/// Steps `segments` of cycles on a scalar core and on one lane of a batch,
-/// returning both interval-stat sequences for comparison.
-fn run_both_paths(
-    config: &CoreConfig,
-    plan: &[(SpecBenchmark, Hertz, Vec<u64>)],
-) -> (Vec<Vec<IntervalStats>>, Vec<Vec<IntervalStats>>) {
-    let scalar: Vec<Vec<IntervalStats>> = plan
-        .iter()
-        .map(|(bench, freq, segments)| {
-            let mut core = CoreModel::new(config, *freq).expect("valid config");
-            let mut stream = bench.stream();
-            segments
-                .iter()
-                .map(|&cycles| core.run_cycles(&mut stream, cycles))
-                .collect()
-        })
-        .collect();
-
-    let freqs: Vec<Hertz> = plan.iter().map(|(_, f, _)| *f).collect();
-    let mut batch = LaneBatch::new(config, &freqs).expect("valid config");
-    let mut sources: Vec<_> = plan.iter().map(|(b, _, _)| b.stream()).collect();
-    let mut memories: Vec<PrivateMemory> = plan
-        .iter()
-        .map(|_| PrivateMemory::new(config).expect("valid config"))
-        .collect();
-    let first: Vec<u64> = plan.iter().map(|(_, _, s)| s[0]).collect();
-    let mut done = vec![0usize; plan.len()];
-    let mut batched: Vec<Vec<IntervalStats>> = vec![Vec::new(); plan.len()];
-    batch.step_lanes(&mut sources, &mut memories, &first, |lane, stats| {
-        batched[lane].push(*stats);
-        done[lane] += 1;
-        plan[lane].2.get(done[lane]).copied()
-    });
-    (scalar, batched)
-}
-
-/// A mixed-mode 8-lane batch — different benchmarks at different DVFS
-/// frequencies, uneven segment schedules — must match eight independent
-/// scalar cores segment-for-segment.
-#[test]
-fn mixed_mode_eight_lane_batch_matches_scalar_cores() {
-    let dvfs = DvfsParams::paper();
-    let plan: Vec<(SpecBenchmark, Hertz, Vec<u64>)> = SpecBenchmark::ALL
-        .into_iter()
-        .take(8)
-        .enumerate()
-        .map(|(i, bench)| {
-            let mode = PowerMode::ALL[i % PowerMode::ALL.len()];
-            let segments = (0..3)
-                .map(|k| 20_000 + 7_000 * ((i + k) % 3) as u64)
-                .collect();
-            (bench, dvfs.frequency(mode), segments)
-        })
-        .collect();
-    let (scalar, batched) = run_both_paths(&CoreConfig::power4(), &plan);
-    for (lane, (bench, _, _)) in plan.iter().enumerate() {
-        assert_eq!(
-            scalar[lane],
-            batched[lane],
-            "lane {lane} ({}) diverged from its scalar twin",
-            bench.name(),
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Arbitrary quantum boundaries — including zero-cycle segments — must
-    /// never open a gap between the scalar and lane-batched paths: the
-    /// per-segment `IntervalStats` are identical wherever the cuts land.
-    #[test]
-    fn random_quantum_boundaries_match_scalar(
-        lanes in prop::collection::vec(
-            (
-                0usize..SpecBenchmark::ALL.len(),
-                0usize..PowerMode::ALL.len(),
-                prop::collection::vec(0u64..30_000, 1..5),
-            ),
-            1..5,
-        ),
-    ) {
-        let dvfs = DvfsParams::paper();
-        let plan: Vec<(SpecBenchmark, Hertz, Vec<u64>)> = lanes
-            .into_iter()
-            .map(|(b, m, segments)| {
-                (
-                    SpecBenchmark::ALL[b],
-                    dvfs.frequency(PowerMode::ALL[m]),
-                    segments,
-                )
-            })
-            .collect();
-        let (scalar, batched) = run_both_paths(&CoreConfig::power4(), &plan);
-        prop_assert_eq!(scalar, batched);
     }
 }
 
