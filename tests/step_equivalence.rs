@@ -12,10 +12,13 @@
 //! 2. Delivery-shape independence: a source that trickles ops one per
 //!    `fill_ops` call must produce exactly the same interval statistics as
 //!    the same stream delivering full batches, at every DVFS frequency.
+//!
+//! The explicitly selected `CaptureEngine::Scalar` is held to the same
+//! golden hashes as the default configuration.
 
 use gpm::microarch::{CoreConfig, CoreModel, InstructionSource, MicroOp};
 use gpm::power::DvfsParams;
-use gpm::trace::{capture_benchmark, CaptureConfig};
+use gpm::trace::{capture_benchmark, CaptureConfig, CaptureEngine};
 use gpm::types::{fnv1a, PowerMode};
 use gpm::workloads::SpecBenchmark;
 
@@ -108,6 +111,34 @@ impl<S: InstructionSource> InstructionSource for OneAtATime<S> {
     fn fill_ops(&mut self, buf: &mut [MicroOp]) -> usize {
         buf[0] = self.0.next_op();
         1
+    }
+}
+
+/// Selecting the scalar capture engine by name must reproduce the same
+/// goldens the lane-batched engine used to be checked against, for all
+/// 12 benchmarks × 3 modes: the `Scalar` selection stays a no-op over the
+/// one stepping engine.
+#[test]
+fn scalar_engine_matches_lane_batched_goldens() {
+    let mut config = CaptureConfig::fast(150_000);
+    config.engine = CaptureEngine::Scalar;
+    for (name, golden) in GOLDEN_TRACE_HASHES {
+        let bench = SpecBenchmark::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .expect("golden table names a known benchmark");
+        let traces = capture_benchmark(bench, &config).expect("capture");
+        for (mode, expected) in [PowerMode::Turbo, PowerMode::Eff1, PowerMode::Eff2]
+            .into_iter()
+            .zip(golden)
+        {
+            let json = serde_json::to_string(traces.trace(mode)).expect("serialize");
+            assert_eq!(
+                fnv1a(json.as_bytes()),
+                expected,
+                "scalar-engine trace bytes diverged for {name} at {mode}",
+            );
+        }
     }
 }
 
