@@ -74,11 +74,9 @@ fn core_stream_mips(bench: SpecBenchmark, min_instructions: u64) -> Measurement 
 /// Full `capture_benchmark` throughput (all three power modes, warm-up and
 /// sampling included) — the end-to-end number every experiment depends on.
 ///
-/// Measured at steady state: one untimed capture first, so the recording
-/// tape's storage pool is mapped and faulted in. Experiments capture all
-/// 12 benchmarks in one process, so steady state is the representative
-/// regime; the first capture in a process pays roughly one extra page
-/// fault per 4 KiB of tape.
+/// Measured at steady state: one untimed capture first, so caches and the
+/// allocator are warm. Experiments capture all 12 benchmarks in one
+/// process, so steady state is the representative regime.
 fn capture_mips(bench: SpecBenchmark, limit: u64) -> Measurement {
     let name = match bench {
         SpecBenchmark::Sixtrack => "capture_cpu_bound_sixtrack",

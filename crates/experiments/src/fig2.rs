@@ -43,6 +43,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<Fig2> {
     let mut per_benchmark = Vec::with_capacity(SpecBenchmark::ALL.len());
     let mut sums = [[0.0f64; 2]; 2]; // [mode][saving, degradation]
 
+    // Capture cold benchmarks in parallel before the serial reduction.
+    ctx.store().warm_up(&SpecBenchmark::ALL)?;
     for bench in SpecBenchmark::ALL {
         let traces = ctx.store().get(bench)?;
         let turbo_time = traces

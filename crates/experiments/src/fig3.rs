@@ -119,6 +119,9 @@ fn timeline(
 pub fn run(ctx: &ExperimentContext) -> Result<Fig3> {
     let combo_a = combos::ammp_mcf_crafty_art();
     let combo_b = combos::ammp_crafty_art_sixtrack();
+    // Capture both combos' cold benchmarks in one parallel region.
+    ctx.store()
+        .warm_up(&[combo_a.benchmarks(), combo_b.benchmarks()].concat())?;
     // Split the two combos' *worst-window* all-Eff1 levels, mirroring where
     // the paper's 83% budget sat in its calibration: the mcf combo then
     // fits Eff1 through its phase swings while the sixtrack combo's power

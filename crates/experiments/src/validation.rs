@@ -117,11 +117,18 @@ pub fn trace_vs_full(
 ///
 /// Propagates capture and simulation errors.
 pub fn run_trace_vs_full(ctx: &ExperimentContext, duration: Micros) -> Result<Vec<TraceVsFull>> {
-    Ok(vec![
-        trace_vs_full(ctx, &combos::sixtrack_gap_perlbmk_wupwise(), duration)?,
-        trace_vs_full(ctx, &combos::ammp_mcf_crafty_art(), duration)?,
-        trace_vs_full(ctx, &combos::mcf_mcf_art_art(), duration)?,
-    ])
+    let suite = [
+        combos::sixtrack_gap_perlbmk_wupwise(),
+        combos::ammp_mcf_crafty_art(),
+        combos::mcf_mcf_art_art(),
+    ];
+    // Capture every combo's cold benchmarks in one parallel region.
+    let benches: Vec<_> = suite.iter().flat_map(|c| c.benchmarks().to_vec()).collect();
+    ctx.store().warm_up(&benches)?;
+    suite
+        .iter()
+        .map(|combo| trace_vs_full(ctx, combo, duration))
+        .collect()
 }
 
 /// Renders a set of [`TraceVsFull`] results.

@@ -4,18 +4,19 @@
 //!
 //! # Hot-path structure
 //!
-//! Every experiment in the workspace funnels through
-//! [`CoreEngine::run_cycles_with`]'s per-instruction loop — single-core
-//! captures through [`CoreModel`], full-CMP quanta through bare engines —
-//! so this module is written for raw simulation throughput while keeping
-//! results bit-identical across delivery strategies:
+//! Every experiment in the workspace funnels through one per-instruction
+//! loop, [`CoreEngine::step_until`]: trace capture hands it slices of a
+//! shared op window directly, and [`CoreEngine::run_cycles_with`] (full-CMP
+//! quanta, single-core runs) feeds it from a buffer refilled out of an
+//! [`InstructionSource`]. The module is written for raw simulation
+//! throughput while keeping results bit-identical across delivery shapes:
 //!
-//! * **Batched instruction delivery** — ops are pulled from the
-//!   [`InstructionSource`] in blocks (via
-//!   [`fill_ops`](InstructionSource::fill_ops)) into a reusable buffer, so a
-//!   boxed/dynamic source pays one virtual call per block instead of one per
-//!   op. Unconsumed ops carry over between `run_*` calls; callers that swap
-//!   sources mid-run must call [`CoreEngine::discard_pending_ops`].
+//! * **Batched instruction delivery** — `run_cycles_with` pulls ops from
+//!   its source in blocks (via [`fill_ops`](InstructionSource::fill_ops))
+//!   into a reusable buffer, so a boxed/dynamic source pays one virtual call
+//!   per block instead of one per op. Unconsumed ops carry over between
+//!   calls; callers that swap sources mid-run must call
+//!   [`CoreEngine::discard_pending_ops`].
 //! * **Monomorphized memory path** — stepping is generic over
 //!   `M: MemorySubsystem + ?Sized`, so the private-L2 common case
 //!   ([`PrivateMemory`]) and the full-CMP recorder inline completely.
@@ -217,7 +218,6 @@ pub struct CoreEngine {
     cur_cycle: u64,
     dispatched_in_cycle: u32,
     last_busy_cycle: u64,
-    busy_cycles: u64,
     completion_ring: Vec<u64>,
     op_index: u64,
     /// `op_index % rob_size`, maintained incrementally (no per-op `%`).
@@ -291,14 +291,17 @@ impl CoreModel {
             .run_cycles_with(source, &mut self.memory, target_cycles)
     }
 
-    /// Runs until `count` further instructions have been dispatched.
-    pub fn run_instructions(
+    /// Steps `ops` against the private L2 and memory until the clock
+    /// reaches `until_cycle` or the slice runs out; see
+    /// [`CoreEngine::step_until`].
+    pub fn step_until(
         &mut self,
-        source: &mut impl InstructionSource,
-        count: u64,
-    ) -> IntervalStats {
+        ops: &[MicroOp],
+        until_cycle: u64,
+        stats: &mut IntervalStats,
+    ) -> usize {
         self.engine
-            .run_instructions_with(source, &mut self.memory, count)
+            .step_until(ops, &mut self.memory, until_cycle, stats)
     }
 
     /// The branch predictor (for diagnostics).
@@ -356,7 +359,6 @@ impl CoreEngine {
             cur_cycle: 0,
             dispatched_in_cycle: 0,
             last_busy_cycle: u64::MAX,
-            busy_cycles: 0,
             completion_ring: vec![0; config.rob_size],
             op_index: 0,
             rob_slot: 0,
@@ -421,104 +423,57 @@ impl CoreEngine {
         target_cycles: u64,
     ) -> IntervalStats {
         let mut stats = IntervalStats::default();
-        let start_cycle = self.cur_cycle;
-        let end_cycle = start_cycle.saturating_add(target_cycles);
-        let busy_start = self.busy_cycles;
-
-        // Dispatch on delivery style ONCE per run (the contract requires a
-        // source to answer `borrow_ops` consistently), so each loop below
-        // contains only its own delivery code: for concrete generator
-        // sources the zero-copy arm folds away entirely, and a dynamic
-        // source pays one virtual probe per run instead of one per op.
-        if source.borrow_ops(1).is_some() {
-            // Zero-copy path: step straight out of the source's own
-            // storage, reporting back how many ops the cycle bound let us
-            // retire.
-            while self.cur_cycle < end_cycle {
-                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
-                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
-                    break;
-                };
-                let mut used = 0;
-                while used < chunk.len() && self.cur_cycle < end_cycle {
-                    self.step_op(chunk[used], memory, &mut stats);
-                    used += 1;
-                }
-                source.consume_ops(used);
+        let end_cycle = self.cur_cycle.saturating_add(target_cycles);
+        // The buffer leaves `self` for the run so `step_until` can borrow
+        // the engine mutably while stepping out of it.
+        let mut buf = std::mem::take(&mut self.op_buf);
+        while self.cur_cycle < end_cycle {
+            if self.op_buf_pos == self.op_buf_len {
+                self.op_buf_len = source.fill_ops(&mut buf);
+                assert!(
+                    self.op_buf_len > 0 && self.op_buf_len <= buf.len(),
+                    "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
+                );
+                self.op_buf_pos = 0;
             }
-        } else {
-            while self.cur_cycle < end_cycle {
-                let op = self.next_buffered_op(source);
-                self.step_op(op, memory, &mut stats);
-            }
+            let pending = &buf[self.op_buf_pos..self.op_buf_len];
+            self.op_buf_pos += self.step_until(pending, memory, end_cycle, &mut stats);
         }
-
-        stats.cycles = self.cur_cycle - start_cycle;
-        stats.busy_cycles = self.busy_cycles - busy_start;
+        self.op_buf = buf;
         stats
     }
 
-    fn run_instructions_with<M: MemorySubsystem + ?Sized>(
+    /// Steps `ops` in order until the clock reaches the absolute cycle
+    /// `until_cycle` or the slice runs out, resolving L1 misses through
+    /// `memory`, and adds the stepped work — elapsed cycles included — into
+    /// the caller's `stats`. Returns the number of ops stepped.
+    ///
+    /// This is the core's one stepping loop. The last op may overshoot
+    /// `until_cycle`; a core already at or past it steps nothing. An
+    /// interval spread over several calls (e.g. across op windows)
+    /// accumulates exactly the statistics one uninterrupted run would.
+    pub fn step_until<M: MemorySubsystem + ?Sized>(
         &mut self,
-        source: &mut impl InstructionSource,
+        ops: &[MicroOp],
         memory: &mut M,
-        count: u64,
-    ) -> IntervalStats {
-        let mut stats = IntervalStats::default();
+        until_cycle: u64,
+        stats: &mut IntervalStats,
+    ) -> usize {
         let start_cycle = self.cur_cycle;
-        let busy_start = self.busy_cycles;
-
-        // Delivery-style dispatch once per run, as in `run_cycles_with`.
-        let mut remaining = count;
-        if source.borrow_ops(1).is_some() {
-            while remaining > 0 {
-                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
-                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
-                    break;
-                };
-                let take = chunk
-                    .len()
-                    .min(usize::try_from(remaining).unwrap_or(usize::MAX));
-                for &op in &chunk[..take] {
-                    self.step_op(op, memory, &mut stats);
-                }
-                source.consume_ops(take);
-                remaining -= take as u64;
-            }
-        } else {
-            while remaining > 0 {
-                let op = self.next_buffered_op(source);
-                self.step_op(op, memory, &mut stats);
-                remaining -= 1;
-            }
+        let mut used = 0;
+        while used < ops.len() && self.cur_cycle < until_cycle {
+            self.step_op(ops[used], memory, stats);
+            used += 1;
         }
-
-        stats.cycles = self.cur_cycle - start_cycle;
-        stats.busy_cycles = self.busy_cycles - busy_start;
-        stats
-    }
-
-    /// The next op from the delivery buffer, refilling it from `source`
-    /// in one [`fill_ops`](InstructionSource::fill_ops) call when empty.
-    #[inline(always)]
-    fn next_buffered_op(&mut self, source: &mut impl InstructionSource) -> MicroOp {
-        if self.op_buf_pos == self.op_buf_len {
-            self.op_buf_len = source.fill_ops(&mut self.op_buf);
-            assert!(
-                self.op_buf_len > 0 && self.op_buf_len <= self.op_buf.len(),
-                "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
-            );
-            self.op_buf_pos = 0;
-        }
-        let op = self.op_buf[self.op_buf_pos];
-        self.op_buf_pos += 1;
-        op
+        stats.cycles += self.cur_cycle - start_cycle;
+        used
     }
 
     /// Advances the scoreboard by one micro-op.
     ///
-    /// Force-inlined into the run loops, which are its only callers, so the
-    /// scoreboard fields stay in registers across the op loop.
+    /// Force-inlined into [`step_until`](Self::step_until), its only
+    /// caller, so the scoreboard fields stay in registers across the op
+    /// loop.
     #[inline(always)]
     fn step_op<M: MemorySubsystem + ?Sized>(
         &mut self,
@@ -561,7 +516,7 @@ impl CoreEngine {
         self.dispatched_in_cycle += 1;
         if self.cur_cycle != self.last_busy_cycle {
             self.last_busy_cycle = self.cur_cycle;
-            self.busy_cycles += 1;
+            stats.busy_cycles += 1;
         }
 
         // --- Operand readiness from the producer's completion time. ---
@@ -929,18 +884,13 @@ mod tests {
     #[test]
     fn icache_fetch_counted_per_block() {
         // Sequential code: one L1I access per 128-byte block (32 ops at 4 B).
-        struct Sequential {
-            pc: u64,
-        }
-        impl InstructionSource for Sequential {
-            fn next_op(&mut self) -> MicroOp {
-                self.pc += 4;
-                MicroOp::int_alu(None).at_code(self.pc)
-            }
-        }
-        let mut core = core_at(1.0);
         // pc runs 4..=12800, touching blocks 0..=100 → 101 distinct blocks.
-        let stats = core.run_instructions(&mut Sequential { pc: 0 }, 3200);
+        let ops: Vec<_> = (1..=3200u64)
+            .map(|i| MicroOp::int_alu(None).at_code(i * 4))
+            .collect();
+        let mut core = core_at(1.0);
+        let mut stats = IntervalStats::default();
+        assert_eq!(core.step_until(&ops, u64::MAX, &mut stats), 3200);
         assert_eq!(stats.l1i_accesses, 101);
     }
 
@@ -1113,8 +1063,12 @@ mod tests {
         let _ = core.run_cycles(&mut ints, 1_000);
         core.discard_pending_ops();
         let mut fps = TestStream::cycle(vec![MicroOp::fp_alu(None)]);
-        let stats = core.run_instructions(&mut fps, 100);
-        assert_eq!(stats.fp_ops, 100);
+        let stats = core.run_cycles(&mut fps, 100);
+        assert!(stats.instructions > 0);
+        assert_eq!(
+            stats.fp_ops, stats.instructions,
+            "every op stepped after the discard comes from the new source"
+        );
         assert_eq!(stats.int_ops, 0, "stale buffered ops must not execute");
     }
 
@@ -1134,6 +1088,36 @@ mod tests {
         let stats = engine.run_cycles_with(&mut s, &mut memory, 1_000);
         assert!(stats.instructions > 0);
         assert!(engine.now_cycles() >= 6_000);
+    }
+
+    #[test]
+    fn step_until_split_across_slices_matches_one_run() {
+        // One interval stepped out of many small slices accumulates the
+        // same statistics, cycles included, as one buffered run, and a
+        // core already at its target steps nothing.
+        let ops: Vec<_> = (0..20_000u64)
+            .map(|i| match i % 4 {
+                0 => MicroOp::load(i * 136, Some(1)),
+                1 => MicroOp::branch(0x40 + (i % 3) * 8, i % 5 == 0),
+                2 => MicroOp::fp_alu(Some(2)),
+                _ => MicroOp::int_alu(None),
+            })
+            .collect();
+        let mut whole = core_at(1.0);
+        let expected = whole.run_cycles(&mut TestStream::cycle(ops.clone()), 2_000);
+
+        let mut split = core_at(1.0);
+        let mut stats = IntervalStats::default();
+        let mut pos = 0;
+        while split.now_cycles() < 2_000 {
+            assert!(pos < ops.len(), "the op vector outlasts the interval");
+            let end = (pos + 7).min(ops.len());
+            pos += split.step_until(&ops[pos..end], 2_000, &mut stats);
+        }
+        assert_eq!(stats, expected);
+        assert_eq!(split.now_cycles(), whole.now_cycles());
+        assert_eq!(split.step_until(&ops[pos..], 2_000, &mut stats), 0);
+        assert_eq!(stats, expected);
     }
 
     #[test]

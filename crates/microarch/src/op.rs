@@ -159,34 +159,6 @@ pub trait InstructionSource {
         }
         buf.len()
     }
-
-    /// Borrows the next up-to-`max` micro-ops in program order without
-    /// copying, or `None` if this source cannot serve borrowed blocks.
-    ///
-    /// The zero-copy delivery path: a source backed by in-memory storage
-    /// (e.g. a recorded tape) returns a slice straight into that storage
-    /// and the core steps ops from it, skipping the per-op copy into its
-    /// delivery buffer. Borrowing does *not* consume — the caller reports
-    /// how many ops it actually stepped via
-    /// [`consume_ops`](Self::consume_ops), which is what advances the
-    /// stream (the core may stop mid-block at a cycle boundary). `max` is
-    /// at least 1 and a `Some` return must hold between 1 and `max` ops.
-    ///
-    /// A source must answer consistently — either always `None` (the
-    /// buffered [`fill_ops`](Self::fill_ops) path is used) or always
-    /// `Some`, with exactly the op sequence `next_op` would produce.
-    fn borrow_ops(&mut self, max: usize) -> Option<&[MicroOp]> {
-        let _ = max;
-        None
-    }
-
-    /// Consumes `n` ops previously returned by
-    /// [`borrow_ops`](Self::borrow_ops), advancing the stream past them.
-    /// Never called with `n > 0` on sources whose `borrow_ops` returns
-    /// `None`.
-    fn consume_ops(&mut self, n: usize) {
-        debug_assert!(n == 0, "consume_ops on a source without borrow_ops");
-    }
 }
 
 impl<T: InstructionSource + ?Sized> InstructionSource for &mut T {
@@ -197,14 +169,6 @@ impl<T: InstructionSource + ?Sized> InstructionSource for &mut T {
     fn fill_ops(&mut self, buf: &mut [MicroOp]) -> usize {
         (**self).fill_ops(buf)
     }
-
-    fn borrow_ops(&mut self, max: usize) -> Option<&[MicroOp]> {
-        (**self).borrow_ops(max)
-    }
-
-    fn consume_ops(&mut self, n: usize) {
-        (**self).consume_ops(n);
-    }
 }
 
 impl<T: InstructionSource + ?Sized> InstructionSource for Box<T> {
@@ -214,14 +178,6 @@ impl<T: InstructionSource + ?Sized> InstructionSource for Box<T> {
 
     fn fill_ops(&mut self, buf: &mut [MicroOp]) -> usize {
         (**self).fill_ops(buf)
-    }
-
-    fn borrow_ops(&mut self, max: usize) -> Option<&[MicroOp]> {
-        (**self).borrow_ops(max)
-    }
-
-    fn consume_ops(&mut self, n: usize) {
-        (**self).consume_ops(n);
     }
 }
 

@@ -1,30 +1,34 @@
 //! Trace capture: deterministic runs of each benchmark at each mode.
 //!
-//! Each (benchmark, mode) run is an independent simulation on its own
-//! [`CoreModel`]; the per-mode captures of one benchmark are spread across
-//! the `gpm_par` worker pool without changing the captured bytes.
+//! The three mode runs of one benchmark share a single generated op
+//! stream. The stream is generated window by window — once for the
+//! warm-up, once for the measured region — and the Turbo, Eff1 and Eff2
+//! [`CoreModel`]s step through each window in turn (lockstep) before the
+//! next one is generated. The modes of one benchmark therefore run on one
+//! thread; parallelism lives at the benchmark level
+//! ([`TraceStore::warm_up`](crate::TraceStore::warm_up) and
+//! [`capture_combo`] capture distinct benchmarks across the `gpm_par`
+//! pool).
 
-use gpm_microarch::{CoreConfig, CoreModel, InstructionSource};
+use gpm_microarch::{CoreConfig, CoreModel, InstructionSource, IntervalStats, MicroOp};
 use gpm_power::{DvfsParams, PowerModel};
-use gpm_types::{Micros, PowerMode, Result};
-use gpm_workloads::{SharedTape, SpecBenchmark, WorkloadCombo};
+use gpm_types::{GpmError, Micros, PowerMode, Result};
+use gpm_workloads::{SpecBenchmark, WorkloadCombo};
 
 use crate::{BenchmarkTraces, ModeTrace, TraceSample};
 
-/// Cap (in ops) on the shared instruction tape, ~2 GB of buffered
-/// micro-ops. Captures whose worst-case op demand fits replay one shared
-/// recording across all mode runs; larger ones regenerate the stream per
-/// mode.
-const TAPE_MAX_OPS: u64 = 48_000_000;
+/// Ops generated per lockstep window (16 Ki ops, 512 KiB). Capture memory
+/// is bounded by the window, not by the region length.
+const WINDOW_OPS: usize = 16 * 1024;
 
 /// The stepping engine of the per-mode capture runs.
 ///
-/// There is only one: every capture runs one [`CoreModel`] per mode. The
-/// enum selects nothing and stays only because the benchmark harness
-/// names it.
+/// There is only one: every capture steps one [`CoreModel`] per mode in
+/// lockstep over a shared op window. The enum selects nothing and stays
+/// only because the benchmark harness names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaptureEngine {
-    /// One [`CoreModel`] per mode, spread across the `gpm_par` worker pool.
+    /// One [`CoreModel`] per mode, all stepped on the capturing thread.
     #[default]
     Scalar,
 }
@@ -106,175 +110,273 @@ impl CaptureConfig {
         let total = bench.profile().total_instructions;
         self.instruction_limit.map_or(total, |cap| cap.min(total))
     }
+
+    /// The instruction target of a capture over `region`: the region plus
+    /// the margin the CMP simulator may read past its end.
+    fn margined(&self, region: u64) -> u64 {
+        region.saturating_add(((region as f64 * self.margin) as u64).max(1000))
+    }
+
+    /// Rejects settings under which a capture would never end or would
+    /// produce no samples.
+    fn validate(&self) -> Result<()> {
+        self.core.validate()?;
+        let invalid = |parameter, reason| Err(GpmError::InvalidConfig { parameter, reason });
+        let delta = self.delta.value();
+        if !(delta.is_finite() && delta > 0.0) {
+            return invalid(
+                "delta",
+                format!("must be positive and finite, got {delta} µs"),
+            );
+        }
+        if let Some(limit) = self.duration_limit.map(Micros::value) {
+            if !(limit.is_finite() && limit > 0.0) {
+                return invalid(
+                    "duration_limit",
+                    format!("must be positive and finite, got {limit} µs"),
+                );
+            }
+        }
+        if !(self.margin.is_finite() && self.margin >= 0.0) {
+            return invalid(
+                "margin",
+                format!("must be non-negative and finite, got {}", self.margin),
+            );
+        }
+        Ok(())
+    }
 }
 
 /// Captures one benchmark at every power mode.
 ///
-/// Each mode run replays the *same* deterministic instruction stream from
-/// the beginning through a fresh core model clocked at that mode's
-/// frequency, sampling `(cumulative instructions, power, BIPS)` every
-/// `delta`.
+/// Each mode runs the *same* deterministic instruction stream from the
+/// beginning through a fresh core model clocked at that mode's frequency,
+/// sampling `(cumulative instructions, power, BIPS)` every `delta`.
 ///
 /// # Errors
 ///
-/// Propagates configuration validation failures.
+/// Returns [`GpmError::InvalidConfig`] for an invalid core configuration, a
+/// `delta` that is not positive and finite (or shorter than one core
+/// cycle), a `duration_limit` that is not positive and finite, or a
+/// `margin` that is negative or not finite.
 pub fn capture_benchmark(bench: SpecBenchmark, config: &CaptureConfig) -> Result<BenchmarkTraces> {
-    config.core.validate()?;
-    let region = config.region_of(bench);
-    let margin_of = |r: u64| r + ((r as f64 * config.margin) as u64).max(1000);
+    capture_windowed(bench, config, WINDOW_OPS)
+}
 
-    // Every mode run (and each run's warm-up) replays the same deterministic
-    // op sequence, so when the whole demand fits in memory it is generated
-    // once into a shared tape and replayed, instead of being regenerated by
-    // each of the six passes. The worst-case demand is the margined target
-    // plus warm-up consumption (bounded by dispatch width × warm-up cycles)
-    // plus one delta interval of run-cycle overshoot.
-    let worst_case_ops = margin_of(region) + config.warmup_cycles.saturating_mul(8) + 2_000_000;
-    let (region, traces) = if worst_case_ops <= TAPE_MAX_OPS {
-        // Reserve for the common consumption (the margined target plus
-        // typical warm-up drain); rare overshoot just grows the vec.
-        let hint = (margin_of(region) + 600_000) as usize;
-        let tape = SharedTape::with_capacity_hint(bench.stream(), hint);
-        capture_all_modes(&|| tape.reader(), region, &margin_of, config)
-    } else {
-        capture_all_modes(&|| bench.stream(), region, &margin_of, config)
-    };
+/// [`capture_benchmark`] over op windows of `window_ops` ops. The traces do
+/// not depend on the window length; tests vary it to prove that.
+pub(crate) fn capture_windowed(
+    bench: SpecBenchmark,
+    config: &CaptureConfig,
+    window_ops: usize,
+) -> Result<BenchmarkTraces> {
+    config.validate()?;
+    let mut region = config.region_of(bench);
+    // Lanes run in `PowerMode::ALL` order, so `lanes[0]` is Turbo.
+    let mut lanes = PowerMode::ALL
+        .into_iter()
+        .map(|mode| Lane::new(mode, config, config.margined(region)))
+        .collect::<Result<Vec<_>>>()?;
+    if let Some(limit) = config.duration_limit {
+        let turbo_time_cap = limit * (1.0 + config.margin) + config.delta;
+        lanes[0].max_samples = (turbo_time_cap.value() / config.delta.value()).ceil() as usize;
+    }
+    let mut window = vec![MicroOp::int_alu(None); window_ops];
+
+    // Pass 1: warm caches and predictors from op 0, discarding the stats.
+    if config.warmup_cycles > 0 {
+        let mut scratch = IntervalStats::default();
+        lockstep(bench, &mut window, |ops| {
+            for lane in &mut lanes {
+                lane.core
+                    .step_until(ops, config.warmup_cycles, &mut scratch);
+            }
+            lanes
+                .iter()
+                .any(|lane| lane.core.now_cycles() < config.warmup_cycles)
+        });
+    }
+
+    // Pass 2: the measured region over a restarted stream, so instruction
+    // indices line up across modes.
+    //
+    // A duration limit is resolved against the Turbo run so that all three
+    // modes are truncated at the same *instruction* position. Until Turbo
+    // stops, Eff1/Eff2 run towards the untruncated target; once it stops,
+    // each keeps the prefix of samples up to the first that reaches the
+    // resolved target, exactly what a run towards that target records.
+    for lane in &mut lanes {
+        lane.open_or_finish();
+    }
+    let mut unresolved_limit = config.duration_limit;
+    lockstep(bench, &mut window, |ops| {
+        for lane in &mut lanes {
+            lane.step(ops, config);
+        }
+        if lanes[0].done {
+            if let Some(limit) = unresolved_limit.take() {
+                let turbo =
+                    ModeTrace::new(PowerMode::Turbo, config.delta, lanes[0].samples.clone());
+                region = region.min(turbo.instructions_by(limit));
+                let target = config.margined(region);
+                for lane in &mut lanes[1..] {
+                    lane.retarget(target);
+                }
+            }
+        }
+        lanes.iter().any(|lane| !lane.done)
+    });
+
+    let traces = lanes
+        .into_iter()
+        .map(|lane| ModeTrace::new(lane.mode, config.delta, lane.samples))
+        .collect();
     BenchmarkTraces::new(bench.name(), region, traces)
 }
 
-/// Runs the three per-mode captures over sources built by `make_source`,
-/// returning the (possibly duration-truncated) region and the traces in
-/// [`PowerMode::ALL`] order.
-///
-/// Each mode run is a self-contained simulation (fresh core, fresh source),
-/// so the captures are independent and run across the worker pool.
-/// `parallel_map` preserves slot order, and every run is deterministic on
-/// its own inputs, so the assembled traces are byte-identical to a serial
-/// loop.
-fn capture_all_modes<S: InstructionSource, F: Fn() -> S + Sync>(
-    make_source: &F,
-    mut region: u64,
-    margin_of: &(impl Fn(u64) -> u64 + Sync),
-    config: &CaptureConfig,
-) -> (u64, Vec<ModeTrace>) {
-    let traces = if let Some(limit) = config.duration_limit {
-        // A duration limit is resolved against the Turbo run so that all
-        // three modes are truncated at the same *instruction* position:
-        // Turbo must finish first, then Eff1/Eff2 follow together.
-        let turbo_time_cap = limit * (1.0 + config.margin) + config.delta;
-        let turbo = capture_modes(
-            make_source,
-            &[PowerMode::Turbo],
-            margin_of(region),
-            Some(turbo_time_cap),
-            config,
-        )
-        .pop()
-        .expect("one mode in, one trace out");
-        region = region.min(turbo.instructions_by(limit));
-        let target = margin_of(region);
-        let mut traces = vec![turbo];
-        traces.extend(capture_modes(
-            make_source,
-            &[PowerMode::Eff1, PowerMode::Eff2],
-            target,
-            None,
-            config,
-        ));
-        traces
-    } else {
-        let target = margin_of(region);
-        capture_modes(make_source, &PowerMode::ALL, target, None, config)
-    };
-    (region, traces)
+/// Generates `bench`'s stream from op 0 into `window`, one window at a
+/// time, handing each to `step` until it returns `false`.
+fn lockstep(
+    bench: SpecBenchmark,
+    window: &mut [MicroOp],
+    mut step: impl FnMut(&[MicroOp]) -> bool,
+) {
+    let mut stream = bench.stream();
+    loop {
+        let mut filled = 0;
+        while filled < window.len() {
+            filled += stream.fill_ops(&mut window[filled..]);
+        }
+        if !step(window) {
+            return;
+        }
+    }
 }
 
-/// Captures `modes` over sources built by `make_source`, one independent
-/// per-mode simulation per pool worker, returning the traces in `modes`
-/// order.
-fn capture_modes<S: InstructionSource, F: Fn() -> S + Sync>(
-    make_source: &F,
-    modes: &[PowerMode],
-    target_instructions: u64,
-    max_duration: Option<Micros>,
-    config: &CaptureConfig,
-) -> Vec<ModeTrace> {
-    gpm_par::parallel_map(modes, |&mode| {
-        capture_mode(make_source, mode, target_instructions, max_duration, config)
-    })
+/// One mode's run: its core, the interval in progress and the samples so
+/// far.
+struct Lane {
+    mode: PowerMode,
+    core: CoreModel,
+    delta_cycles: u64,
+    /// Intervals keep opening while fewer instructions than this have
+    /// committed and fewer than `max_samples` samples exist.
+    target: u64,
+    max_samples: usize,
+    /// End cycle and running statistics of the open interval.
+    until: u64,
+    stats: IntervalStats,
+    committed: u64,
+    samples: Vec<TraceSample>,
+    done: bool,
+}
+
+impl Lane {
+    fn new(mode: PowerMode, config: &CaptureConfig, target: u64) -> Result<Self> {
+        let freq = config.dvfs.frequency(mode);
+        let core = CoreModel::new(&config.core, freq)?;
+        let delta_cycles = freq.cycles_in(config.delta).value();
+        if delta_cycles == 0 {
+            return Err(GpmError::InvalidConfig {
+                parameter: "delta",
+                reason: format!(
+                    "{} µs is shorter than one core cycle at {mode}",
+                    config.delta.value()
+                ),
+            });
+        }
+        Ok(Self {
+            mode,
+            core,
+            delta_cycles,
+            target,
+            max_samples: usize::MAX,
+            until: 0,
+            stats: IntervalStats::default(),
+            committed: 0,
+            samples: Vec::new(),
+            done: false,
+        })
+    }
+
+    /// Opens the next `delta` interval, or marks the run done once it has
+    /// reached its target or sample cap.
+    fn open_or_finish(&mut self) {
+        if self.committed < self.target && self.samples.len() < self.max_samples {
+            self.until = self.core.now_cycles().saturating_add(self.delta_cycles);
+            self.stats = IntervalStats::default();
+        } else {
+            self.done = true;
+        }
+    }
+
+    /// Steps every op of the window (or up to the end of the run), closing
+    /// each interval whose end cycle is reached and carrying on with the
+    /// next in the same window.
+    fn step(&mut self, mut ops: &[MicroOp], config: &CaptureConfig) {
+        while !self.done && !ops.is_empty() {
+            let used = self.core.step_until(ops, self.until, &mut self.stats);
+            ops = &ops[used..];
+            if self.core.now_cycles() >= self.until {
+                self.committed += self.stats.instructions;
+                self.samples.push(TraceSample {
+                    instructions_end: self.committed,
+                    power_w: config
+                        .power
+                        .power(&self.stats.activity(), self.mode)
+                        .value(),
+                    bips: self.stats.bips_at(self.core.frequency()).value(),
+                });
+                self.open_or_finish();
+            }
+        }
+    }
+
+    /// Lowers the instruction target to `target`, cutting the samples after
+    /// the first one that already reaches it. A run that finished under
+    /// the higher target always has such a sample.
+    fn retarget(&mut self, target: u64) {
+        self.target = target;
+        if let Some(last) = self
+            .samples
+            .iter()
+            .position(|s| s.instructions_end >= target)
+        {
+            self.samples.truncate(last + 1);
+            self.done = true;
+        }
+    }
 }
 
 /// Captures every benchmark of `combo` (deduplicated by benchmark).
 ///
 /// Returns one [`BenchmarkTraces`] per *core*, in combo order; duplicated
-/// benchmarks share the same capture via clone.
+/// benchmarks share the same capture via clone. Distinct benchmarks are
+/// captured in parallel across the worker pool (see `gpm_par`).
 ///
 /// # Errors
 ///
-/// Propagates capture failures.
+/// Propagates capture failures; with several failures, the error of the
+/// first (combo-order) failing benchmark is returned.
 pub fn capture_combo(
     combo: &WorkloadCombo,
     config: &CaptureConfig,
 ) -> Result<Vec<BenchmarkTraces>> {
-    let mut unique: Vec<(SpecBenchmark, BenchmarkTraces)> = Vec::new();
+    let mut unique: Vec<SpecBenchmark> = Vec::new();
     for &bench in combo.benchmarks() {
-        if !unique.iter().any(|(b, _)| *b == bench) {
-            unique.push((bench, capture_benchmark(bench, config)?));
+        if !unique.contains(&bench) {
+            unique.push(bench);
         }
     }
+    let captured = gpm_par::try_parallel_map(&unique, |&bench| capture_benchmark(bench, config))?;
     Ok(combo
         .benchmarks()
         .iter()
         .map(|b| {
-            unique
-                .iter()
-                .find(|(u, _)| u == b)
-                .expect("captured above")
-                .1
-                .clone()
+            let slot = unique.iter().position(|u| u == b).expect("captured above");
+            captured[slot].clone()
         })
         .collect())
-}
-
-fn capture_mode<S: InstructionSource>(
-    make_source: &impl Fn() -> S,
-    mode: PowerMode,
-    target_instructions: u64,
-    max_duration: Option<Micros>,
-    config: &CaptureConfig,
-) -> ModeTrace {
-    let freq = config.dvfs.frequency(mode);
-    let mut core =
-        CoreModel::new(&config.core, freq).expect("core config validated by capture entry points");
-    let mut stream = make_source();
-    let delta_cycles = freq.cycles_in(config.delta).value();
-
-    // Warm up caches and predictors; discard the stats and restart the
-    // stream so instruction indices line up across modes. The core batches
-    // op delivery, so any warm-up ops it fetched but did not execute must be
-    // discarded along with the warm-up stream.
-    if config.warmup_cycles > 0 {
-        let _ = core.run_cycles(&mut stream, config.warmup_cycles);
-        stream = make_source();
-        core.discard_pending_ops();
-    }
-
-    let max_samples = max_duration
-        .map(|d| (d.value() / config.delta.value()).ceil() as usize)
-        .unwrap_or(usize::MAX);
-    let mut samples = Vec::new();
-    let mut committed = 0u64;
-    while committed < target_instructions && samples.len() < max_samples {
-        let stats = core.run_cycles(&mut stream, delta_cycles);
-        committed += stats.instructions;
-        let power = config.power.power(&stats.activity(), mode);
-        samples.push(TraceSample {
-            instructions_end: committed,
-            power_w: power.value(),
-            bips: stats.bips_at(freq).value(),
-        });
-    }
-    ModeTrace::new(mode, config.delta, samples)
 }
 
 #[cfg(test)]
@@ -353,6 +455,115 @@ mod tests {
         let a = capture_benchmark(SpecBenchmark::Art, &cfg).unwrap();
         let b = capture_benchmark(SpecBenchmark::Art, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    fn assert_rejected(config: &CaptureConfig, parameter: &str) {
+        match capture_benchmark(SpecBenchmark::Gcc, config) {
+            Err(GpmError::InvalidConfig { parameter: p, .. }) => assert_eq!(p, parameter),
+            other => panic!("expected `{parameter}` to be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_degenerate_delta() {
+        // 1e-7 µs is positive but shorter than one core cycle at every mode.
+        for delta in [0.0, -50.0, f64::NAN, f64::INFINITY, 1e-7] {
+            let config = CaptureConfig {
+                delta: Micros::new(delta),
+                ..fast_config()
+            };
+            assert_rejected(&config, "delta");
+        }
+    }
+
+    #[test]
+    fn rejects_degenerate_duration_limit() {
+        for limit in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_rejected(
+                &CaptureConfig::fast_duration(Micros::new(limit)),
+                "duration_limit",
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_degenerate_margin() {
+        for margin in [-0.01, f64::NAN, f64::INFINITY] {
+            let config = CaptureConfig {
+                margin,
+                ..fast_config()
+            };
+            assert_rejected(&config, "margin");
+        }
+    }
+
+    /// Captures `bench` at window lengths 1, 7, `extra` and the production
+    /// length, asserting the traces are identical; returns them.
+    fn assert_window_independent(
+        bench: SpecBenchmark,
+        config: &CaptureConfig,
+        extra: impl Fn(&BenchmarkTraces) -> Vec<usize>,
+    ) -> BenchmarkTraces {
+        let reference = capture_windowed(bench, config, WINDOW_OPS).unwrap();
+        for window in [1, 7].into_iter().chain(extra(&reference)) {
+            let traces = capture_windowed(bench, config, window).unwrap();
+            assert_eq!(traces, reference, "{} at window {window}", bench.name());
+        }
+        reference
+    }
+
+    /// The op position at which sample `i` of `mode` ends.
+    fn sample_end(t: &BenchmarkTraces, mode: PowerMode, i: usize) -> usize {
+        t.trace(mode).samples()[i].instructions_end as usize
+    }
+
+    #[test]
+    fn traces_do_not_depend_on_window_length() {
+        // Instruction-limited. Windows sized to end exactly where a Turbo
+        // and an Eff2 interval end put an interval close on the last op of
+        // a window (the measured pass counts ops from 0, so a sample's
+        // `instructions_end` is its closing op position).
+        let limited = CaptureConfig {
+            warmup_cycles: 20_000,
+            ..CaptureConfig::fast(120_000)
+        };
+        assert_window_independent(SpecBenchmark::Gcc, &limited, |t| {
+            vec![
+                sample_end(t, PowerMode::Turbo, 0),
+                sample_end(t, PowerMode::Eff2, 1),
+            ]
+        });
+
+        // Duration-limited: Eff1/Eff2 overshoot while Turbo runs and are cut
+        // back to the Turbo-derived target.
+        let timed = CaptureConfig {
+            warmup_cycles: 20_000,
+            ..CaptureConfig::fast_duration(Micros::new(300.0))
+        };
+        assert_window_independent(SpecBenchmark::Art, &timed, |t| {
+            vec![sample_end(t, PowerMode::Eff1, 1)]
+        });
+    }
+
+    #[test]
+    fn eff_target_past_turbo_end_is_window_independent() {
+        // Intervals of a few hundred ops and no proportional margin put the
+        // resolved Eff target (region + 1000) past the last op Turbo
+        // consumed, so the Eff lanes keep stepping windows on their own.
+        let config = CaptureConfig {
+            delta: Micros::new(0.5),
+            margin: 0.0,
+            warmup_cycles: 5_000,
+            ..CaptureConfig::fast_duration(Micros::new(20.0))
+        };
+        let t = assert_window_independent(SpecBenchmark::Mcf, &config, |_| Vec::new());
+        let target = config.margined(t.total_instructions());
+        assert!(target > t.trace(PowerMode::Turbo).total_instructions());
+        for mode in [PowerMode::Eff1, PowerMode::Eff2] {
+            let samples = t.trace(mode).samples();
+            assert!(samples[samples.len() - 1].instructions_end >= target);
+            assert!(samples[samples.len() - 2].instructions_end < target);
+        }
     }
 
     #[test]

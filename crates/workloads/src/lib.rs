@@ -22,6 +22,12 @@
 //! extreme DVFS-response cases of Figure 2. The calibration tests in this
 //! crate pin those properties.
 //!
+//! Streams are generated on demand and never recorded: a consumer that
+//! needs the same ops again restarts the stream from its seed. Trace
+//! capture (`gpm-trace`) generates each benchmark's stream into a small,
+//! reused op window that its three DVFS-mode cores step through in turn,
+//! so capture memory stays bounded however long the region is.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,7 +47,6 @@
 pub mod combos;
 mod profile;
 mod stream;
-mod tape;
 
 pub use combos::WorkloadCombo;
 pub use profile::{
@@ -49,4 +54,3 @@ pub use profile::{
     SpecBenchmark, Suite, UtilizationClass,
 };
 pub use stream::WorkloadStream;
-pub use tape::{SharedTape, TapeReader};

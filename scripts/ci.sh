@@ -48,13 +48,17 @@ GPM_THREADS=8 cargo test --quiet -p gpm-core --lib policy::
 cargo clippy -p gpm-core --all-targets -- -D warnings
 
 # The core stepping engine promises captured traces bit-identical to the
-# pre-overhaul goldens (12 benchmarks x 3 modes) and interval statistics
-# independent of how ops are delivered, for any pool width; run the
-# equivalence group under a serial and a saturated pool, and lint the
-# core-model crate at zero-warning strictness.
-echo "==> stepping engine: step_equivalence (trace goldens, delivery shape) under two pool widths + clippy -D warnings"
+# pre-overhaul goldens (12 benchmarks x 3 modes, instruction- and
+# duration-limited) and interval statistics independent of how ops are
+# delivered, for any pool width; the capture unit tests add traces that
+# do not depend on the lockstep op-window length. Run both groups under a
+# serial and a saturated pool, and lint the core-model crate at
+# zero-warning strictness.
+echo "==> stepping engine: step_equivalence (trace goldens, delivery shape) + gpm-trace unit tests under two pool widths + clippy -D warnings"
 GPM_THREADS=1 cargo test --quiet --test step_equivalence
 GPM_THREADS=8 cargo test --quiet --test step_equivalence
+GPM_THREADS=1 cargo test --quiet -p gpm-trace --lib
+GPM_THREADS=8 cargo test --quiet -p gpm-trace --lib
 cargo clippy -p gpm-microarch --all-targets -- -D warnings
 
 # The cluster-sharded drive promises K=1/zero-interconnect bit-identity

@@ -1,9 +1,10 @@
 //! Equivalence guarantees for the batched hot path.
 //!
 //! The instruction-stepping overhaul (batched op delivery, monomorphized
-//! memory path, shared replay tape, integer-domain stream thresholds) is a
-//! pure performance change: every observable output must be bit-identical
-//! to the original one-op-at-a-time implementation. Two guards pin that:
+//! memory path, integer-domain stream thresholds, one-pass lockstep
+//! capture) is a pure performance change: every observable output must be
+//! bit-identical to the original one-op-at-a-time implementation. Two
+//! guards pin that:
 //!
 //! 1. Golden trace hashes: the serialized per-mode traces of all 12
 //!    benchmarks must hash to the values recorded from the pre-overhaul
@@ -14,12 +15,14 @@
 //!    the same stream delivering full batches, at every DVFS frequency.
 //!
 //! The explicitly selected `CaptureEngine::Scalar` is held to the same
-//! golden hashes as the default configuration.
+//! golden hashes as the default configuration, and the duration-limited
+//! capture path (Turbo resolves the region, Eff1/Eff2 follow to the same
+//! instruction position) has goldens of its own.
 
 use gpm::microarch::{CoreConfig, CoreModel, InstructionSource, MicroOp};
 use gpm::power::DvfsParams;
 use gpm::trace::{capture_benchmark, CaptureConfig, CaptureEngine};
-use gpm::types::{fnv1a, PowerMode};
+use gpm::types::{fnv1a, Micros, PowerMode};
 use gpm::workloads::SpecBenchmark;
 
 /// Hashes of `serde_json::to_string` of each mode's `ModeTrace`, captured
@@ -76,27 +79,97 @@ const GOLDEN_TRACE_HASHES: [(&str, [u64; 3]); 12] = [
     ),
 ];
 
-#[test]
-fn captured_traces_match_pre_overhaul_goldens() {
-    let config = CaptureConfig::fast(150_000);
-    for (name, golden) in GOLDEN_TRACE_HASHES {
+/// Hashes of each mode's serialized `ModeTrace`, captured with
+/// `CaptureConfig::fast_duration(Micros::from_millis(1.0))` before the
+/// one-pass lockstep capture replaced the per-mode runs, in
+/// `[Turbo, Eff1, Eff2]` order.
+const GOLDEN_DURATION_HASHES: [(&str, [u64; 3]); 12] = [
+    (
+        "ammp",
+        [0xe27be7dae8aa2689, 0x42fc601c4e4f83d0, 0xef44934365531ad9],
+    ),
+    (
+        "art",
+        [0xd98fb8626fb2a33c, 0x1374d7c98eaa5704, 0xca884434887a48b9],
+    ),
+    (
+        "crafty",
+        [0x3199a915ebfbbc43, 0xc0dc47c8a5ba3ef2, 0xc0653314bc33d674],
+    ),
+    (
+        "facerec",
+        [0x6ef2c86aad4944fe, 0x352d8223db48b4ef, 0x5302c1f8cf73e6da],
+    ),
+    (
+        "gap",
+        [0x94d4cbcbcd0e771d, 0xf61f15c429e49751, 0x5ce7e40077ddaf24],
+    ),
+    (
+        "gcc",
+        [0x36c719f7a2188edb, 0x476fd85bb99e086f, 0x3b232c8e5c02bf1e],
+    ),
+    (
+        "mcf",
+        [0x5b5ccf5b429f74e5, 0x8653007ae5c9eeb7, 0x6e17ccd157b28ec8],
+    ),
+    (
+        "mesa",
+        [0x303bdebbfe65d787, 0xb39ec2d7eecffa27, 0xced32844c5c472b4],
+    ),
+    (
+        "perlbmk",
+        [0xc5d3978a294a3080, 0xfb8f2dbbd6451407, 0x9fca7e5c266ec3ce],
+    ),
+    (
+        "sixtrack",
+        [0x0ba8ea6ffd63b3a9, 0x4a52ee0167dec5c7, 0x0166a77514d7a792],
+    ),
+    (
+        "vortex",
+        [0x05a5a5d2173f4103, 0x9efd19654e5f3afa, 0x61e85b64e23f5c57],
+    ),
+    (
+        "wupwise",
+        [0xde802d4782fe0d2c, 0xcffa0fc88e222d90, 0xb84ae7d17ec4147f],
+    ),
+];
+
+/// Captures every benchmark of `goldens` under `config` and checks each
+/// mode's serialized trace against its recorded hash.
+fn assert_goldens(config: &CaptureConfig, goldens: &[(&str, [u64; 3])], what: &str) {
+    for &(name, golden) in goldens {
         let bench = SpecBenchmark::ALL
             .into_iter()
             .find(|b| b.name() == name)
             .expect("golden table names a known benchmark");
-        let traces = capture_benchmark(bench, &config).expect("capture");
-        for (mode, expected) in [PowerMode::Turbo, PowerMode::Eff1, PowerMode::Eff2]
-            .into_iter()
-            .zip(golden)
-        {
+        let traces = capture_benchmark(bench, config).expect("capture");
+        for (mode, expected) in PowerMode::ALL.into_iter().zip(golden) {
             let json = serde_json::to_string(traces.trace(mode)).expect("serialize");
             assert_eq!(
                 fnv1a(json.as_bytes()),
                 expected,
-                "trace bytes changed for {name} at {mode}",
+                "{what} trace bytes changed for {name} at {mode}",
             );
         }
     }
+}
+
+#[test]
+fn captured_traces_match_pre_overhaul_goldens() {
+    assert_goldens(
+        &CaptureConfig::fast(150_000),
+        &GOLDEN_TRACE_HASHES,
+        "instruction-limited",
+    );
+}
+
+#[test]
+fn duration_limited_traces_match_goldens() {
+    assert_goldens(
+        &CaptureConfig::fast_duration(Micros::from_millis(1.0)),
+        &GOLDEN_DURATION_HASHES,
+        "duration-limited",
+    );
 }
 
 /// Delivers exactly one op per `fill_ops` call — the least batched source
@@ -122,24 +195,7 @@ impl<S: InstructionSource> InstructionSource for OneAtATime<S> {
 fn scalar_engine_matches_lane_batched_goldens() {
     let mut config = CaptureConfig::fast(150_000);
     config.engine = CaptureEngine::Scalar;
-    for (name, golden) in GOLDEN_TRACE_HASHES {
-        let bench = SpecBenchmark::ALL
-            .into_iter()
-            .find(|b| b.name() == name)
-            .expect("golden table names a known benchmark");
-        let traces = capture_benchmark(bench, &config).expect("capture");
-        for (mode, expected) in [PowerMode::Turbo, PowerMode::Eff1, PowerMode::Eff2]
-            .into_iter()
-            .zip(golden)
-        {
-            let json = serde_json::to_string(traces.trace(mode)).expect("serialize");
-            assert_eq!(
-                fnv1a(json.as_bytes()),
-                expected,
-                "scalar-engine trace bytes diverged for {name} at {mode}",
-            );
-        }
-    }
+    assert_goldens(&config, &GOLDEN_TRACE_HASHES, "scalar-engine");
 }
 
 #[test]
