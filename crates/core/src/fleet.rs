@@ -48,10 +48,9 @@
 //!    exceeds the rack budget (e.g. after [`FleetEngine::set_rack_budget`]
 //!    steps it down mid-run), emergency shedding clamps nodes to all-Eff2
 //!    in deterministic priority order (highest estimated power first, node
-//!    id as tie-break) until the estimate fits. A rack-level violation
-//!    watchdog mirrors the per-chip one in `manager.rs`: K consecutive
-//!    violation ticks force a whole-rack Eff2 clamp whose hold time backs
-//!    off exponentially.
+//!    id as tie-break) until the estimate fits. The rack runs the per-chip
+//!    violation watchdog of `manager.rs` (`watchdog.rs`) over ticks: K
+//!    violating ticks in a row force a whole-rack Eff2 clamp.
 //!
 //! With exact keying (the default quanta) and no chaos/degraded/rack
 //! configuration, the emitted decisions are bit-identical to solving every
@@ -66,21 +65,22 @@ use std::time::Instant;
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    fnv1a, splitmix64, BuildDigestHasher, CoreId, GpmError, Micros, ModeCombination, PowerMode,
-    QuantizedKey, QuantizedKeyBuilder, Result, Watts,
+    fnv1a, splitmix64, BuildDigestHasher, CoreId, Micros, ModeCombination, PowerMode, QuantizedKey,
+    QuantizedKeyBuilder, Result, Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
-use crate::{DecisionCache, PowerBipsMatrices};
+use crate::watchdog::{capped_doubling, Watchdog, WatchdogLaw};
+use crate::{invalid_config, DecisionCache, PowerBipsMatrices};
 
 /// Version tag stamped on every [`FleetCheckpoint`]; bumped whenever the
 /// snapshot layout changes incompatibly.
-pub const FLEET_CHECKPOINT_VERSION: u32 = 1;
+pub const FLEET_CHECKPOINT_VERSION: u32 = 2;
 
 /// Degraded-operation knobs: what the engine does for nodes whose reports
 /// were dropped, invalidated or timed out, and how rejected submitters
 /// should back off.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct DegradedConfig {
     /// How many modes a fallback decision steps each core down from the
     /// node's last-good assignment (power-safe clamp; saturates at Eff2).
@@ -89,7 +89,7 @@ pub struct DegradedConfig {
     /// rejection.
     pub retry_base: u64,
     /// Cap on the backoff exponent: the n-th consecutive rejection yields
-    /// a `retry_base << min(n - 1, retry_max_exp)` tick delay.
+    /// a `retry_base << min(n - 1, retry_max_exp)` tick delay (saturating).
     pub retry_max_exp: u32,
 }
 
@@ -103,9 +103,9 @@ impl Default for DegradedConfig {
     }
 }
 
-/// Rack-level power-budget enforcement: emergency shedding plus a
-/// violation watchdog mirroring the per-chip guard rails.
-#[derive(Debug, Clone, PartialEq)]
+/// Rack-level power-budget enforcement: emergency shedding plus the
+/// per-chip guard rails' violation watchdog, run over ticks.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct RackConfig {
     /// Total rack power budget the per-tick estimate must fit under.
     pub budget: Watts,
@@ -131,10 +131,26 @@ impl RackConfig {
             max_backoff: 32,
         }
     }
+
+    fn law(&self) -> WatchdogLaw {
+        WatchdogLaw {
+            k: self.watchdog_k as u64,
+            base: self.clamp_hold,
+            ceiling: self.max_backoff,
+        }
+    }
+
+    fn validate(&self) -> Result<()> {
+        if !(self.budget.value().is_finite() && self.budget.value() > 0.0) {
+            let reason = format!("must be finite and positive, got {}", self.budget);
+            return Err(invalid_config("fleet.rack.budget", reason));
+        }
+        self.law().validate("fleet.rack.watchdog").map(drop)
+    }
 }
 
 /// Configuration for a [`FleetEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct FleetConfig {
     /// Cross-tick decision cache settings (capacity, quanta, verify mode).
     pub cache: CacheConfig,
@@ -355,17 +371,12 @@ struct NodeState {
     retry_at: u64,
 }
 
-/// Live rack-watchdog state.
+/// Live rack-enforcement state.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 struct RackState {
-    /// Consecutive violation ticks counted toward the watchdog trigger.
-    violation_streak: usize,
+    watchdog: Watchdog,
     /// Length of the current violation run (for the longest-run metric).
     current_run: u64,
-    /// Remaining ticks of an active whole-rack clamp.
-    clamp_remaining: u64,
-    /// Hold length the next clamp will use (doubles up to the ceiling).
-    backoff: u64,
 }
 
 /// Hashes `u64` node ids with one splitmix64 finalizer round. The node
@@ -464,17 +475,35 @@ impl FleetCheckpoint {
         serde_json::to_string(self).expect("checkpoint state always serializes")
     }
 
-    /// Deserializes a checkpoint from JSON.
+    /// Deserializes a checkpoint from JSON. The version is read first, so
+    /// a checkpoint of another layout is refused as such.
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] on malformed input.
+    /// Returns [`gpm_types::GpmError::InvalidConfig`] on malformed input
+    /// or a version other than [`FLEET_CHECKPOINT_VERSION`].
     pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| GpmError::InvalidConfig {
-            parameter: "fleet.checkpoint",
-            reason: format!("unparseable checkpoint: {e}"),
-        })
+        #[derive(serde::Deserialize)]
+        struct Versioned {
+            version: u32,
+        }
+        let unparseable = |e: serde_json::Error| {
+            invalid_config("fleet.checkpoint", format!("unparseable checkpoint: {e}"))
+        };
+        let Versioned { version } = serde_json::from_str(json).map_err(unparseable)?;
+        check_version(version)?;
+        serde_json::from_str(json).map_err(unparseable)
     }
+}
+
+/// Refuses a checkpoint layout other than this engine's.
+fn check_version(version: u32) -> Result<()> {
+    if version == FLEET_CHECKPOINT_VERSION {
+        return Ok(());
+    }
+    let engine = FLEET_CHECKPOINT_VERSION;
+    let reason = format!("checkpoint version {version} does not match engine version {engine}");
+    Err(invalid_config("fleet.checkpoint", reason))
 }
 
 /// The batched, memoized decision engine (see the module docs for the
@@ -550,57 +579,36 @@ impl FleetEngine {
     /// Creates an engine, validating every config bound.
     pub fn new(config: FleetConfig) -> Result<Self> {
         if config.queue_capacity == 0 {
-            return Err(GpmError::InvalidConfig {
-                parameter: "fleet.queue_capacity",
-                reason: "tick queue must hold at least one report".into(),
-            });
+            let reason = "tick queue must hold at least one report";
+            return Err(invalid_config("fleet.queue_capacity", reason));
         }
         if config.flat_core_limit == 0 || config.flat_core_limit > solver::MAX_CORES {
-            return Err(GpmError::InvalidConfig {
-                parameter: "fleet.flat_core_limit",
-                reason: format!(
-                    "flat solver limit must be between 1 and {} cores, got {}",
-                    solver::MAX_CORES,
-                    config.flat_core_limit
-                ),
-            });
+            let reason = format!(
+                "flat solver limit must be between 1 and {} cores, got {}",
+                solver::MAX_CORES,
+                config.flat_core_limit
+            );
+            return Err(invalid_config("fleet.flat_core_limit", reason));
         }
         if config.dark_after <= config.stale_tolerance {
-            return Err(GpmError::InvalidConfig {
-                parameter: "fleet.dark_after",
-                reason: format!(
-                    "dark_after ({}) must exceed stale_tolerance ({})",
-                    config.dark_after, config.stale_tolerance
-                ),
-            });
+            let reason = format!(
+                "dark_after ({}) must exceed stale_tolerance ({})",
+                config.dark_after, config.stale_tolerance
+            );
+            return Err(invalid_config("fleet.dark_after", reason));
         }
         if let Some(degraded) = &config.degraded {
             if degraded.retry_base == 0 {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.degraded.retry_base",
-                    reason: "retry backoff base must be at least one tick".into(),
-                });
+                let reason = "retry backoff base must be at least one tick";
+                return Err(invalid_config("fleet.degraded.retry_base", reason));
             }
             if degraded.retry_max_exp >= 32 {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.degraded.retry_max_exp",
-                    reason: "retry backoff exponent cap must be below 32".into(),
-                });
+                let reason = "retry backoff exponent cap must be below 32";
+                return Err(invalid_config("fleet.degraded.retry_max_exp", reason));
             }
         }
         if let Some(rack) = &config.rack {
-            if !(rack.budget.value().is_finite() && rack.budget.value() > 0.0) {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.rack.budget",
-                    reason: "rack budget must be finite and positive".into(),
-                });
-            }
-            if rack.watchdog_k == 0 || rack.clamp_hold == 0 {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.rack.watchdog",
-                    reason: "watchdog K and clamp hold must be at least 1".into(),
-                });
-            }
+            rack.validate()?;
         }
         // Validates cluster_cores (and pre-flights the wide-node path).
         HierMaxBips::with_cluster_cores(config.cluster_cores)?;
@@ -609,10 +617,6 @@ impl FleetEngine {
             Some(plan) => Some(FleetFaultSession::new(plan)?),
             None => None,
         };
-        let rack_state = RackState {
-            backoff: config.rack.as_ref().map_or(0, |r| r.clamp_hold),
-            ..RackState::default()
-        };
         Ok(Self {
             cache,
             queue: Vec::new(),
@@ -620,7 +624,7 @@ impl FleetEngine {
             session,
             nodes: NodeMap::default(),
             backoff_nodes: 0,
-            rack_state,
+            rack_state: RackState::default(),
             next_tick: 0,
             key_buf: QuantizedKeyBuilder::default(),
             config,
@@ -674,26 +678,25 @@ impl FleetEngine {
     /// parameters are retained from the existing rack config when only
     /// the budget steps; enabling rack enforcement for the first time
     /// uses [`RackConfig::new`] defaults.
-    pub fn set_rack_budget(&mut self, budget: Option<Watts>) {
-        match budget {
-            Some(b) => {
-                let rack = match self.config.rack.take() {
-                    Some(mut rack) => {
-                        rack.budget = b;
-                        rack
-                    }
-                    None => RackConfig::new(b),
-                };
-                if self.rack_state.backoff == 0 {
-                    self.rack_state.backoff = rack.clamp_hold;
-                }
-                self.config.rack = Some(rack);
-            }
-            None => {
-                self.config.rack = None;
-                self.rack_state = RackState::default();
-            }
-        }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`gpm_types::GpmError::InvalidConfig`], leaving the engine
+    /// unchanged, for a budget that is not finite and positive.
+    pub fn set_rack_budget(&mut self, budget: Option<Watts>) -> Result<()> {
+        let Some(budget) = budget else {
+            self.config.rack = None;
+            self.rack_state = RackState::default();
+            return Ok(());
+        };
+        let mut rack = match &self.config.rack {
+            Some(rack) => rack.clone(),
+            None => RackConfig::new(budget),
+        };
+        rack.budget = budget;
+        rack.validate()?;
+        self.config.rack = Some(rack);
+        Ok(())
     }
 
     /// Enqueues one report for the next [`run_tick`](Self::run_tick).
@@ -724,7 +727,8 @@ impl FleetEngine {
                     }
                     let exp = state.rejections.min(degraded.retry_max_exp);
                     state.rejections = state.rejections.saturating_add(1);
-                    state.retry_at = self.next_tick + (degraded.retry_base << exp);
+                    let hint = capped_doubling(degraded.retry_base, exp, u64::MAX);
+                    state.retry_at = self.next_tick.saturating_add(hint);
                     state.retry_at
                 }
                 None => self.next_tick,
@@ -1034,7 +1038,7 @@ impl FleetEngine {
             }
         }
 
-        self.next_tick = now + 1;
+        self.next_tick = now.saturating_add(1);
         out
     }
 
@@ -1079,107 +1083,79 @@ impl FleetEngine {
         sources: &[Option<usize>],
         batch: &[NodeTelemetry],
     ) {
-        let rack = self.config.rack.clone().expect("caller checked rack");
-        let budget = rack.budget.value();
-        // All-Eff2 floor estimate for output position `j`: solver-backed
-        // decisions re-estimate from the node's own matrices; fallback
-        // decisions (no trusted matrices) rescale their watts figure by
-        // the cubic power-scale ratio.
-        let eff2_estimate = |j: usize, modes: &ModeCombination, estimate: f64| -> f64 {
-            match sources[j] {
-                Some(i) => {
-                    let cores = batch[i].matrices.cores();
-                    batch[i]
-                        .matrices
-                        .chip_power(&ModeCombination::uniform(cores, PowerMode::Eff2))
-                        .value()
-                }
-                None => {
-                    let floor = ModeCombination::uniform(modes.len(), PowerMode::Eff2);
-                    estimate * scale_ratio(&floor, modes)
-                }
+        let rack = self.config.rack.as_ref().expect("caller checked rack");
+        let (budget, law) = (rack.budget.value(), rack.law());
+        // Clamps output `j` to the all-Eff2 floor and returns the watts
+        // saved, or `None` if it is already there. Solver-backed decisions
+        // re-estimate from the node's own matrices; fallback decisions (no
+        // trusted matrices) rescale their watts figure by the cubic
+        // power-scale ratio.
+        let clamp = |out: &mut [NodeDecision], estimates: &mut [f64], j: usize| {
+            let floor = ModeCombination::uniform(out[j].modes.len(), PowerMode::Eff2);
+            if out[j].modes == floor {
+                return None;
             }
-        };
-        let clamp_all = |out: &mut [NodeDecision], estimates: &mut [f64]| {
-            for (j, decision) in out.iter_mut().enumerate() {
-                let floor = ModeCombination::uniform(decision.modes.len(), PowerMode::Eff2);
-                if decision.modes != floor {
-                    estimates[j] = eff2_estimate(j, &decision.modes, estimates[j]);
-                    decision.modes = floor;
-                    decision.degraded = true;
-                }
-            }
+            let estimate = match sources[j] {
+                Some(i) => batch[i].matrices.chip_power(&floor).value(),
+                None => estimates[j] * scale_ratio(&floor, &out[j].modes),
+            };
+            let saved = estimates[j] - estimate;
+            estimates[j] = estimate;
+            out[j].modes = floor;
+            out[j].degraded = true;
+            Some(saved)
         };
 
-        if self.rack_state.clamp_remaining > 0 {
-            // An active whole-rack clamp overrides everything; violation
-            // accounting is suspended (the watchdog is already doing all
-            // it can), mirroring the per-chip guard rails.
-            clamp_all(out, estimates);
-            self.stats.watchdog_clamp_ticks += 1;
-            self.rack_state.clamp_remaining -= 1;
-            return;
-        }
-
-        let intent: f64 = estimates.iter().sum();
-        let violation = intent > budget;
-        if violation {
-            self.stats.rack_violation_ticks += 1;
-            self.rack_state.current_run += 1;
-            self.stats.longest_rack_violation_run = self
-                .stats
-                .longest_rack_violation_run
-                .max(self.rack_state.current_run);
-            self.stats.worst_rack_overshoot_watts =
-                self.stats.worst_rack_overshoot_watts.max(intent - budget);
-            self.rack_state.violation_streak += 1;
-        } else {
-            self.rack_state.current_run = 0;
-            self.rack_state.violation_streak = 0;
-        }
-
-        if self.rack_state.violation_streak >= rack.watchdog_k {
-            // Trigger: clamp the whole rack now and hold with exponential
-            // backoff, exactly like the per-chip watchdog.
-            self.rack_state.clamp_remaining = self.rack_state.backoff;
-            self.rack_state.backoff = (self.rack_state.backoff * 2).min(rack.max_backoff);
-            self.rack_state.violation_streak = 0;
-            clamp_all(out, estimates);
-            self.stats.watchdog_clamp_ticks += 1;
-            self.rack_state.clamp_remaining -= 1;
-            return;
-        }
-
-        if violation {
-            // Emergency shedding: clamp the highest-estimated-power nodes
-            // to the all-Eff2 floor, node id (then output position) as
-            // tie-break, until the estimate fits the budget. The order is
-            // a pure function of the estimates, so it is pool-width
-            // independent.
-            let mut order: Vec<usize> = (0..out.len()).collect();
-            order.sort_by(|&a, &b| {
-                estimates[b]
-                    .total_cmp(&estimates[a])
-                    .then(out[a].node.cmp(&out[b].node))
-            });
-            let mut total = intent;
-            for j in order {
-                if total <= budget {
-                    break;
-                }
-                let cores = out[j].modes.len();
-                let floor = ModeCombination::uniform(cores, PowerMode::Eff2);
-                if out[j].modes == floor {
-                    continue;
-                }
-                let new_estimate = eff2_estimate(j, &out[j].modes, estimates[j]);
-                total -= estimates[j] - new_estimate;
-                estimates[j] = new_estimate;
-                out[j].modes = floor;
-                out[j].degraded = true;
-                self.stats.shed_clamps += 1;
+        // An active whole-rack clamp overrides everything; violation
+        // accounting is suspended (the watchdog is already doing all it
+        // can), as in the per-chip guard rails.
+        if self.rack_state.watchdog.hold().is_none() {
+            let intent: f64 = estimates.iter().sum();
+            let violation = intent > budget;
+            let (stats, run) = (&mut self.stats, &mut self.rack_state.current_run);
+            if violation {
+                stats.rack_violation_ticks += 1;
+                *run += 1;
+                stats.longest_rack_violation_run = stats.longest_rack_violation_run.max(*run);
+                stats.worst_rack_overshoot_watts =
+                    stats.worst_rack_overshoot_watts.max(intent - budget);
+            } else {
+                *run = 0;
             }
+            self.rack_state.watchdog.record(violation, law);
+            if self.rack_state.watchdog.trip(law).is_none() {
+                if violation {
+                    // Emergency shedding: clamp the highest-estimated-power
+                    // nodes to the all-Eff2 floor, node id (then output
+                    // position) as tie-break, until the estimate fits the
+                    // budget. The order is a pure function of the
+                    // estimates, so it is pool-width independent.
+                    let mut order: Vec<usize> = (0..out.len()).collect();
+                    order.sort_by(|&a, &b| {
+                        estimates[b]
+                            .total_cmp(&estimates[a])
+                            .then(out[a].node.cmp(&out[b].node))
+                    });
+                    let mut total = intent;
+                    for j in order {
+                        if total <= budget {
+                            break;
+                        }
+                        if let Some(saved) = clamp(out, estimates, j) {
+                            total -= saved;
+                            self.stats.shed_clamps += 1;
+                        }
+                    }
+                }
+                return;
+            }
+            // Tripped: the whole rack clamps from this tick on.
+            self.rack_state.watchdog.hold();
         }
+        for j in 0..out.len() {
+            clamp(out, estimates, j);
+        }
+        self.stats.watchdog_clamp_ticks += 1;
     }
 
     /// Exports the engine's inter-tick state as a versioned checkpoint.
@@ -1214,24 +1190,14 @@ impl FleetEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] if the checkpoint's version or
-    /// configuration fingerprint does not match, or if `config` itself is
-    /// invalid.
+    /// Returns [`gpm_types::GpmError::InvalidConfig`] if the checkpoint's
+    /// version or configuration fingerprint does not match, or if `config`
+    /// itself is invalid.
     pub fn restore(config: FleetConfig, checkpoint: &FleetCheckpoint) -> Result<Self> {
-        if checkpoint.version != FLEET_CHECKPOINT_VERSION {
-            return Err(GpmError::InvalidConfig {
-                parameter: "fleet.checkpoint",
-                reason: format!(
-                    "checkpoint version {} does not match engine version {}",
-                    checkpoint.version, FLEET_CHECKPOINT_VERSION
-                ),
-            });
-        }
+        check_version(checkpoint.version)?;
         if checkpoint.config_fingerprint != config_fingerprint(&config) {
-            return Err(GpmError::InvalidConfig {
-                parameter: "fleet.checkpoint",
-                reason: "checkpoint was taken under a different configuration".into(),
-            });
+            let reason = "checkpoint was taken under a different configuration";
+            return Err(invalid_config("fleet.checkpoint", reason));
         }
         let mut engine = Self::new(config)?;
         engine.cache = DecisionCache::restore(engine.config.cache.clone(), &checkpoint.cache)?;
@@ -1295,20 +1261,8 @@ fn corrupt_report(report: &mut NodeTelemetry, field: CorruptField) {
 /// Steps every core's mode down (toward Eff2) `steps` times, saturating
 /// at the floor.
 fn step_down(modes: &ModeCombination, steps: usize) -> ModeCombination {
-    modes
-        .as_slice()
-        .iter()
-        .map(|&mode| {
-            let mut m = mode;
-            for _ in 0..steps {
-                match m.slower() {
-                    Some(next) => m = next,
-                    None => break,
-                }
-            }
-            m
-        })
-        .collect()
+    let step = |mode: PowerMode| (0..steps).fold(mode, |m, _| m.slower().unwrap_or(m));
+    modes.as_slice().iter().map(|&mode| step(mode)).collect()
 }
 
 /// Ratio of summed cubic power scales between two mode vectors — the
@@ -1324,53 +1278,14 @@ fn scale_ratio(new: &ModeCombination, old: &ModeCombination) -> f64 {
     }
 }
 
-/// FNV-1a over the decision-relevant configuration, used to refuse
-/// restoring a checkpoint under a different configuration.
+/// FNV-1a over the serialized configuration, used to refuse restoring a
+/// checkpoint under a different configuration.
 fn config_fingerprint(config: &FleetConfig) -> u64 {
-    fn eat(bytes: &mut Vec<u8>, word: u64) {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
-    let mut bytes = Vec::new();
-    eat(&mut bytes, config.cache.capacity as u64);
-    eat(&mut bytes, config.cache.watt_quantum.to_bits());
-    eat(&mut bytes, config.cache.bips_quantum.to_bits());
-    eat(&mut bytes, config.cache.budget_quantum.to_bits());
-    eat(&mut bytes, u64::from(config.cache.verify_hits));
-    eat(&mut bytes, config.queue_capacity as u64);
-    eat(&mut bytes, config.stale_tolerance as u64);
-    eat(&mut bytes, config.dark_after as u64);
-    eat(&mut bytes, config.flat_core_limit as u64);
-    eat(&mut bytes, config.cluster_cores as u64);
-    eat(&mut bytes, config.dvfs.nominal_vdd.value().to_bits());
-    eat(&mut bytes, config.dvfs.nominal_frequency.value().to_bits());
-    eat(&mut bytes, config.dvfs.slew_rate_v_per_us.to_bits());
-    eat(&mut bytes, config.explore.value().to_bits());
-    match &config.faults {
-        Some(plan) => {
-            let json = serde_json::to_string(plan).expect("fault plans serialize");
-            eat(&mut bytes, json.len() as u64);
-            bytes.extend_from_slice(json.as_bytes());
-        }
-        None => eat(&mut bytes, u64::MAX),
-    }
-    match &config.degraded {
-        Some(d) => {
-            eat(&mut bytes, d.clamp_steps as u64);
-            eat(&mut bytes, d.retry_base);
-            eat(&mut bytes, u64::from(d.retry_max_exp));
-        }
-        None => eat(&mut bytes, u64::MAX - 1),
-    }
-    match &config.rack {
-        Some(r) => {
-            eat(&mut bytes, r.budget.value().to_bits());
-            eat(&mut bytes, r.watchdog_k as u64);
-            eat(&mut bytes, r.clamp_hold);
-            eat(&mut bytes, r.max_backoff);
-        }
-        None => eat(&mut bytes, u64::MAX - 2),
-    }
-    fnv1a(&bytes)
+    fnv1a(
+        serde_json::to_string(config)
+            .expect("configs serialize")
+            .as_bytes(),
+    )
 }
 
 /// The fleet's solver dispatch: flat exact branch-and-bound up to the
@@ -1401,7 +1316,7 @@ fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_types::PowerMode;
+    use gpm_types::{GpmError, PowerMode};
 
     /// Telemetry for a `cores`-way node whose matrix rows vary with
     /// `phase`, so distinct phases are distinct cache keys.
@@ -1659,6 +1574,37 @@ mod tests {
         );
         assert_eq!(engine.retry_at(7), None);
         assert_eq!(engine.stats().rejected_backpressure, 3);
+    }
+
+    #[test]
+    fn retry_hints_saturate_instead_of_wrapping() {
+        let mut engine = FleetEngine::new(FleetConfig {
+            queue_capacity: 1,
+            degraded: Some(DegradedConfig {
+                retry_base: 1 << 60,
+                ..DegradedConfig::default()
+            }),
+            ..FleetConfig::default()
+        })
+        .expect("valid config");
+        assert!(engine.submit(telemetry(0, 0, 4, 0)));
+        // 2^60, 2^61, 2^62, 2^63, then 2^64 saturates: a shift would have
+        // wrapped the fifth hint to "retry now".
+        let shifted = [60, 61, 62, 63].map(|exp| 1u64 << exp);
+        for expected in shifted.into_iter().chain([u64::MAX; 3]) {
+            assert_eq!(
+                engine.try_submit(telemetry(7, 0, 4, 0)),
+                SubmitOutcome::Rejected { retry_at: expected }
+            );
+        }
+        // Counting from the last tick, the tick cursor and the hint
+        // saturate too.
+        engine.run_tick(u64::MAX);
+        assert!(engine.submit(telemetry(0, 0, 4, 0)));
+        assert_eq!(
+            engine.try_submit(telemetry(7, 0, 4, 0)),
+            SubmitOutcome::Rejected { retry_at: u64::MAX }
+        );
     }
 
     #[test]
@@ -1989,7 +1935,9 @@ mod tests {
         assert!(before.iter().all(|d| !d.degraded));
         assert_eq!(engine.stats().shed_clamps, 0);
         // The rack budget steps down mid-run: next tick must shed.
-        engine.set_rack_budget(Some(Watts::new(1.0)));
+        engine
+            .set_rack_budget(Some(Watts::new(1.0)))
+            .expect("positive budget");
         for node in 0..2 {
             assert!(engine.submit(telemetry(node, 1, 2, node)));
         }

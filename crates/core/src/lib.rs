@@ -63,6 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use gpm_types::GpmError;
+
 mod budget;
 mod curves;
 mod fleet;
@@ -72,6 +74,7 @@ mod matrices;
 mod metrics;
 mod policy;
 pub mod static_oracle;
+mod watchdog;
 
 pub use budget::BudgetSchedule;
 pub use curves::{
@@ -92,3 +95,11 @@ pub use policy::{
     DecisionCache, GreedyMaxBips, HierMaxBips, MaxBips, MinPower, Oracle, Policy, PolicyContext,
     Priority, PullHiPushLo, ThermalGuard,
 };
+
+/// A [`GpmError::InvalidConfig`] for `parameter`.
+pub(crate) fn invalid_config(parameter: &'static str, reason: impl Into<String>) -> GpmError {
+    GpmError::InvalidConfig {
+        parameter,
+        reason: reason.into(),
+    }
+}

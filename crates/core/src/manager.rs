@@ -4,6 +4,7 @@ use gpm_cmp::{CoreObservation, SimHistory, TraceCmpSim};
 use gpm_faults::{FaultEvent, FaultPlan, FaultSession, SensorFrame, SensorStatus};
 use gpm_types::{Bips, CoreId, Micros, ModeCombination, PowerMode, Result, Watts};
 
+use crate::watchdog::{Watchdog, WatchdogLaw};
 use crate::{BudgetSchedule, CacheCounters, Policy, PolicyContext, PowerBipsMatrices};
 
 /// One explore interval as the manager saw it.
@@ -173,19 +174,24 @@ impl RunResult {
         }
     }
 
-    /// Duration-weighted average chip power (excluding warm-up).
-    #[must_use]
-    pub fn average_chip_power(&self) -> Watts {
-        let (mut energy, mut time) = (0.0, 0.0);
+    /// Duration-weighted mean of `watts` over the measured records.
+    fn weighted_mean(&self, watts: impl Fn(&ExploreRecord) -> Watts) -> Watts {
+        let (mut acc, mut time) = (0.0, 0.0);
         for r in self.measured() {
-            energy += r.chip_power.value() * r.duration.value();
+            acc += watts(r).value() * r.duration.value();
             time += r.duration.value();
         }
         if time == 0.0 {
             Watts::ZERO
         } else {
-            Watts::new(energy / time)
+            Watts::new(acc / time)
         }
+    }
+
+    /// Duration-weighted average chip power (excluding warm-up).
+    #[must_use]
+    pub fn average_chip_power(&self) -> Watts {
+        self.weighted_mean(|r| r.chip_power)
     }
 
     /// Average chip throughput over the measured (post-warm-up) window:
@@ -215,16 +221,7 @@ impl RunResult {
     /// Duration-weighted average budget over the measured window.
     #[must_use]
     pub fn average_budget(&self) -> Watts {
-        let (mut acc, mut time) = (0.0, 0.0);
-        for r in self.measured() {
-            acc += r.budget.value() * r.duration.value();
-            time += r.duration.value();
-        }
-        if time == 0.0 {
-            Watts::ZERO
-        } else {
-            Watts::new(acc / time)
-        }
+        self.weighted_mean(|r| r.budget)
     }
 
     /// Average chip power as a fraction of the average budget — the paper's
@@ -303,41 +300,48 @@ impl RunResult {
 /// Live guard-rail state for one hardened run.
 struct GuardState {
     rails: GuardRails,
+    law: WatchdogLaw,
     /// Per-core Turbo peak power (worst-case assumption for dark sensors).
     peaks: Vec<f64>,
     envelope: f64,
     /// Last trustworthy (fresh) frame per core.
     last_good: Vec<Option<SensorFrame>>,
-    violation_streak: usize,
-    clean_streak: usize,
-    clamp_remaining: usize,
-    backoff: usize,
+    watchdog: Watchdog,
     clamped: Vec<usize>,
     pending_repromote: Option<Vec<usize>>,
     actions: Vec<GuardAction>,
 }
 
 impl GuardState {
-    fn new(rails: GuardRails, sim: &TraceCmpSim) -> Self {
+    fn new(rails: GuardRails, sim: &TraceCmpSim) -> Result<Self> {
+        let margin = rails.stale_margin;
+        if !(margin.is_finite() && margin >= 0.0) {
+            let reason = format!("must be finite and non-negative, got {margin}");
+            return Err(crate::invalid_config("guards.stale_margin", reason));
+        }
+        let law = WatchdogLaw {
+            k: rails.watchdog_k as u64,
+            base: rails.clamp_hold as u64,
+            ceiling: rails.max_backoff as u64,
+        }
+        .validate("guards.watchdog")?;
         let peaks: Vec<f64> = sim
             .traces()
             .iter()
             .map(|t| t.trace(PowerMode::Turbo).peak_power().value())
             .collect();
         let envelope = peaks.iter().sum();
-        Self {
+        Ok(Self {
             rails,
+            law,
             peaks,
             envelope,
             last_good: vec![None; sim.cores()],
-            violation_streak: 0,
-            clean_streak: 0,
-            clamp_remaining: 0,
-            backoff: rails.clamp_hold,
+            watchdog: Watchdog::default(),
             clamped: Vec::new(),
             pending_repromote: None,
             actions: Vec::new(),
-        }
+        })
     }
 
     /// Converts seam frames into the observations the predictor consumes,
@@ -353,24 +357,18 @@ impl GuardState {
                     frame_to_observation(f)
                 }
                 SensorStatus::Stale { age } if age <= self.rails.stale_tolerance => {
-                    self.actions.push(GuardAction {
+                    self.log(
                         interval,
-                        kind: GuardActionKind::StaleFallback { core: f.core, age },
-                    });
+                        GuardActionKind::StaleFallback { core: f.core, age },
+                    );
                     let margin = 1.0 + self.rails.stale_margin * age as f64;
                     CoreObservation {
-                        core: CoreId::new(f.core),
-                        mode: f.mode,
                         power: Watts::new(f.power.value() * margin),
-                        bips: f.bips,
-                        instructions: f.instructions,
+                        ..frame_to_observation(f)
                     }
                 }
                 _ => {
-                    self.actions.push(GuardAction {
-                        interval,
-                        kind: GuardActionKind::DarkWorstCase { core: f.core },
-                    });
+                    self.log(interval, GuardActionKind::DarkWorstCase { core: f.core });
                     // Assume the core draws its full Turbo peak; carry the
                     // last trustworthy throughput (rescaled to Turbo) so
                     // the policy still has a performance signal.
@@ -399,12 +397,9 @@ impl GuardState {
         budget: Watts,
     ) -> bool {
         if let Some(cores) = self.pending_repromote.take() {
-            self.actions.push(GuardAction {
-                interval,
-                kind: GuardActionKind::WatchdogRepromote { cores },
-            });
+            self.log(interval, GuardActionKind::WatchdogRepromote { cores });
         }
-        if self.clamp_remaining == 0 && self.violation_streak >= self.rails.watchdog_k {
+        if let Some(hold) = self.watchdog.trip(self.law) {
             // Offenders: cores whose observed power exceeds their
             // envelope-proportional share of the budget. If attribution
             // fails (e.g. every sensor is dark and reads the same), clamp
@@ -418,49 +413,26 @@ impl GuardState {
             if offenders.is_empty() {
                 offenders = (0..observations.len()).collect();
             }
+            // At most `max_backoff`, so the cast is lossless.
+            let hold = hold as usize;
+            let cores = offenders.clone();
+            self.log(interval, GuardActionKind::WatchdogClamp { cores, hold });
             self.clamped = offenders;
-            self.clamp_remaining = self.backoff;
-            self.actions.push(GuardAction {
-                interval,
-                kind: GuardActionKind::WatchdogClamp {
-                    cores: self.clamped.clone(),
-                    hold: self.clamp_remaining,
-                },
-            });
-            self.backoff = (self.backoff * 2).min(self.rails.max_backoff);
-            self.violation_streak = 0;
-            self.clean_streak = 0;
         }
-        if self.clamp_remaining > 0 {
-            for &core in &self.clamped {
-                modes.set(CoreId::new(core), PowerMode::Eff2);
-            }
-            self.clamp_remaining -= 1;
-            if self.clamp_remaining == 0 {
-                self.pending_repromote = Some(std::mem::take(&mut self.clamped));
-            }
-            true
-        } else {
-            false
+        let Some(left) = self.watchdog.hold() else {
+            return false;
+        };
+        for &core in &self.clamped {
+            modes.set(CoreId::new(core), PowerMode::Eff2);
         }
+        if left == 0 {
+            self.pending_repromote = Some(std::mem::take(&mut self.clamped));
+        }
+        true
     }
 
-    /// Books one completed interval's budget outcome. Clamped intervals are
-    /// not counted: the watchdog is already doing all it can there.
-    fn account(&mut self, was_clamped: bool, chip_power: Watts, budget: Watts) {
-        if was_clamped {
-            return;
-        }
-        if chip_power > budget {
-            self.violation_streak += 1;
-            self.clean_streak = 0;
-        } else {
-            self.violation_streak = 0;
-            self.clean_streak += 1;
-            if self.clean_streak >= self.rails.watchdog_k {
-                self.backoff = self.rails.clamp_hold;
-            }
-        }
+    fn log(&mut self, interval: usize, kind: GuardActionKind) {
+        self.actions.push(GuardAction { interval, kind });
     }
 }
 
@@ -535,7 +507,10 @@ impl GlobalManager {
     /// # Errors
     ///
     /// Additionally returns [`gpm_types::GpmError::FaultSpec`] if the fault
-    /// plan names a core the chip does not have.
+    /// plan names a core the chip does not have, and
+    /// [`gpm_types::GpmError::InvalidConfig`] for guard rails with a zero
+    /// `watchdog_k` or `clamp_hold`, a `max_backoff` below `clamp_hold`, or
+    /// a negative or non-finite `stale_margin`.
     pub fn run_with(
         &self,
         mut sim: TraceCmpSim,
@@ -552,7 +527,10 @@ impl GlobalManager {
             Some(plan) => Some(FaultSession::new(plan, sim.cores())?),
             None => None,
         };
-        let mut guard = options.guards.map(|rails| GuardState::new(rails, &sim));
+        let mut guard = options
+            .guards
+            .map(|rails| GuardState::new(rails, &sim))
+            .transpose()?;
         // Scratch buffers for the seam path, allocated once per run.
         let mut frames: Vec<SensorFrame> = Vec::new();
         let mut guarded_obs: Vec<CoreObservation> = Vec::new();
@@ -637,8 +615,10 @@ impl GlobalManager {
             }
             sim.advance_explore_into(&modes, &mut outcome)?;
             let chip_power = outcome.average_chip_power();
-            if let Some(g) = guard.as_mut() {
-                g.account(was_clamped, chip_power, budget);
+            // Clamped intervals are not booked: the watchdog is already
+            // doing all it can there.
+            if let Some(g) = guard.as_mut().filter(|_| !was_clamped) {
+                g.watchdog.record(chip_power > budget, g.law);
             }
             records.push(ExploreRecord {
                 start,
@@ -749,7 +729,9 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_clamps_after_k_violations_and_backs_off() {
+    fn watchdog_clamps_only_offenders_and_logs_repromotion() {
+        // The streak and backoff law itself is tested in `watchdog.rs`;
+        // this covers the chip data around it.
         let rails = GuardRails {
             watchdog_k: 2,
             clamp_hold: 1,
@@ -758,13 +740,15 @@ mod tests {
         };
         let mut state = GuardState {
             rails,
+            law: WatchdogLaw {
+                k: 2,
+                base: 1,
+                ceiling: 4,
+            },
             peaks: vec![60.0, 40.0],
             envelope: 100.0,
             last_good: vec![None; 2],
-            violation_streak: 0,
-            clean_streak: 0,
-            clamp_remaining: 0,
-            backoff: rails.clamp_hold,
+            watchdog: Watchdog::default(),
             clamped: Vec::new(),
             pending_repromote: None,
             actions: Vec::new(),
@@ -788,8 +772,8 @@ mod tests {
         ];
 
         // Two violated intervals, then the watchdog engages.
-        state.account(false, Watts::new(90.0), budget);
-        state.account(false, Watts::new(90.0), budget);
+        state.watchdog.record(true, state.law);
+        state.watchdog.record(true, state.law);
         let mut modes = ModeCombination::uniform(2, PowerMode::Turbo);
         assert!(state.shape_decision(3, &mut modes, &obs, budget));
         assert_eq!(modes.as_slice()[0], PowerMode::Eff2);
@@ -799,8 +783,7 @@ mod tests {
             GuardActionKind::WatchdogClamp { ref cores, hold: 1 } if cores == &vec![0]
         ));
 
-        // Hold of 1 expired: next decision records the re-promotion and the
-        // backoff has doubled for the next engagement.
+        // Hold of 1 expired: next decision records the re-promotion.
         let mut modes = ModeCombination::uniform(2, PowerMode::Turbo);
         assert!(!state.shape_decision(4, &mut modes, &obs, budget));
         assert_eq!(modes.as_slice()[0], PowerMode::Turbo);
@@ -808,12 +791,6 @@ mod tests {
             state.actions[1].kind,
             GuardActionKind::WatchdogRepromote { .. }
         ));
-        assert_eq!(state.backoff, 2);
-
-        // Two clean intervals reset the backoff to the base hold.
-        state.account(false, Watts::new(70.0), budget);
-        state.account(false, Watts::new(70.0), budget);
-        assert_eq!(state.backoff, 1);
     }
 
     #[test]

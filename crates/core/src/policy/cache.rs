@@ -46,7 +46,7 @@ const NIL: usize = usize::MAX;
 ///
 /// The defaults (capacity 4096, all quanta `0.0`, verification off) give
 /// exact keying: hits are guaranteed bit-identical to fresh solves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct CacheConfig {
     /// Maximum number of memoized decisions; the least-recently-used entry
     /// is evicted beyond this. Must be at least 1.

@@ -138,9 +138,9 @@ fn run_class(
     for tick in 0..ticks as u64 {
         if let Some((step, restore, stepped)) = budget_step {
             if tick == step {
-                engine.set_rack_budget(Some(Watts::new(stepped)));
+                engine.set_rack_budget(Some(Watts::new(stepped)))?;
             } else if tick == restore {
-                engine.set_rack_budget(Some(Watts::new(rack_budget)));
+                engine.set_rack_budget(Some(Watts::new(rack_budget)))?;
             }
         }
         for node in 0..nodes as u64 {

@@ -187,9 +187,17 @@ impl ShardedEngine {
     /// Re-arms every shard's rack budget (each shard gets the given
     /// budget as-is; the server divides a whole-rack budget by the shard
     /// count before calling this).
-    pub fn set_rack_budget(&mut self, budget: Option<Watts>) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`gpm_types::GpmError::InvalidConfig`], leaving every shard
+    /// unchanged, for a budget that is not finite and positive. Validity
+    /// depends on the budget alone, so the first shard refuses what every
+    /// shard would.
+    pub fn set_rack_budget(&mut self, budget: Option<Watts>) -> Result<()> {
         for shard in &mut self.engines {
-            owned(shard).set_rack_budget(budget);
+            owned(shard).set_rack_budget(budget)?;
         }
+        Ok(())
     }
 }

@@ -28,9 +28,11 @@ GPM_THREADS=2 cargo test --workspace --quiet
 # determinism on the manager control path; run its test group explicitly
 # under both widths so the seam tests cannot silently drop out of the
 # workspace filter, and lint the new crate at zero-warning strictness.
+# The group includes the one watchdog law shared by the chip guard rails
+# and the rack enforcer (backoff reset, parameter and budget validation).
 echo "==> fault substrate: tests under two pool widths + clippy -D warnings"
-GPM_THREADS=1 cargo test --quiet --test fault_recovery --test fault_invariants
-GPM_THREADS=2 cargo test --quiet --test fault_recovery --test fault_invariants
+GPM_THREADS=1 cargo test --quiet --test fault_recovery --test fault_invariants --test watchdog_law
+GPM_THREADS=2 cargo test --quiet --test fault_recovery --test fault_invariants --test watchdog_law
 cargo clippy -p gpm-faults --all-targets -- -D warnings
 
 # The exact branch-and-bound behind MaxBIPS promises bit-identical
